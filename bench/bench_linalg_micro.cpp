@@ -356,6 +356,34 @@ int run_kernel_series() {
     }
   }
 
+  // The dense kernels of every theorem-41 filtering round: the marginal
+  // kernel's eigensolve (values-only in the sampler) and the LU inverses
+  // behind marginal_kernel / ensemble_from_kernel. They never dispatch,
+  // so both arms run the same code and the speedup column reads parity.
+  for (const std::size_t n :
+       {std::size_t{96}, std::size_t{128}, std::size_t{144}}) {
+    const Matrix a = psd_fixture(n);
+    const auto lu = lu_factor(a);
+    const ArmTiming eigen = time_arms(kRepeats, 4, [&] {
+      const auto eig = symmetric_eigen(a);
+      benchmark::DoNotOptimize(eig.vectors(0, 0));
+    });
+    record_kernel(json, table, "symmetric_eigen", n, 1, /*headline=*/false,
+                  eigen);
+    const ArmTiming values = time_arms(kRepeats, 4, [&] {
+      const auto lambda = symmetric_eigenvalues(a);
+      benchmark::DoNotOptimize(lambda[0]);
+    });
+    record_kernel(json, table, "symmetric_eigenvalues", n, 1,
+                  /*headline=*/false, values);
+    const ArmTiming inverse = time_arms(kRepeats, 4, [&] {
+      const Matrix inv = lu.inverse();
+      benchmark::DoNotOptimize(inv(0, 0));
+    });
+    record_kernel(json, table, "lu_inverse", n, 1, /*headline=*/false,
+                  inverse);
+  }
+
   table.print();
   json.write(bench::bench_out_path("BENCH_linalg_micro.json"));
   return 0;

@@ -72,8 +72,10 @@ int main() {
       if (got[a] != config.counts[a]) ++violations;
 
     std::string counts_str;
-    for (const int c : config.counts)
-      counts_str += (counts_str.empty() ? "" : "+") + std::to_string(c);
+    for (const int c : config.counts) {
+      if (!counts_str.empty()) counts_str += '+';
+      counts_str += std::to_string(c);
+    }
     table.add_row({fmt_int(config.counts.size()), counts_str, fmt_int(k),
                    fmt_int(config.n), fmt_int(seq.diag.rounds),
                    fmt_int(ent.diag.rounds),

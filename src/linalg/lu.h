@@ -8,6 +8,7 @@
 // phase form so partition functions never overflow.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <vector>
@@ -63,40 +64,37 @@ class LuDecomposition {
   };
   [[nodiscard]] LogDet log_det() const { return {log_abs_det(), det_phase()}; }
 
-  /// Solves A x = b in place.
-  void solve_in_place(std::vector<T>& b) const {
-    check_arg(b.size() == size(), "lu solve: size mismatch");
+  /// Solves A x = b.
+  [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const {
+    BasicMatrix<T> x(b.size(), 1);
+    std::copy(b.begin(), b.end(), x.flat().begin());
+    x = solve_matrix(std::move(x));
+    return {x.flat().begin(), x.flat().end()};
+  }
+
+  /// Solves A X = B for all right-hand sides at once: the substitutions
+  /// run as row axpys over X, each element seeing the operations of a
+  /// one-column solve in the same order.
+  [[nodiscard]] BasicMatrix<T> solve_matrix(BasicMatrix<T> x) const {
+    check_arg(x.rows() == size(), "lu solve: size mismatch");
     check_numeric(!singular_, "lu solve: singular matrix");
     const std::size_t n = size();
+    const auto subtract = [m = x.cols()](std::span<T> xi, T coef,
+                                         std::span<const T> xj) {
+      for (std::size_t c = 0; c < m; ++c) xi[c] -= coef * xj[c];
+    };
     for (std::size_t i = 0; i < n; ++i) {
-      std::swap(b[i], b[static_cast<std::size_t>(pivots_[i])]);
+      const auto p = static_cast<std::size_t>(pivots_[i]);
+      if (p != i) std::ranges::swap_ranges(x.row(i), x.row(p));
     }
-    for (std::size_t i = 1; i < n; ++i) {
-      T acc = b[i];
-      for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * b[j];
-      b[i] = acc;
-    }
-    for (std::size_t ii = n; ii-- > 0;) {
-      T acc = b[ii];
-      for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * b[j];
-      b[ii] = acc / lu_(ii, ii);
-    }
-  }
-
-  [[nodiscard]] std::vector<T> solve(std::vector<T> b) const {
-    solve_in_place(b);
-    return b;
-  }
-
-  /// Solves A X = B column by column.
-  [[nodiscard]] BasicMatrix<T> solve_matrix(const BasicMatrix<T>& b) const {
-    check_arg(b.rows() == size(), "lu solve_matrix: size mismatch");
-    BasicMatrix<T> x(b.rows(), b.cols());
-    std::vector<T> col(b.rows());
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-      for (std::size_t i = 0; i < b.rows(); ++i) col[i] = b(i, j);
-      solve_in_place(col);
-      for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = col[i];
+    for (std::size_t i = 1; i < n; ++i)
+      for (std::size_t j = 0; j < i; ++j)
+        subtract(x.row(i), lu_(i, j), x.row(j));
+    for (std::size_t i = n; i-- > 0;) {
+      for (std::size_t j = i + 1; j < n; ++j)
+        subtract(x.row(i), lu_(i, j), x.row(j));
+      const T pivot = lu_(i, i);
+      for (T& xic : x.row(i)) xic /= pivot;
     }
     return x;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "parallel/execution.h"
@@ -11,174 +12,173 @@ namespace pardpp {
 
 namespace {
 
-// Householder reduction of a symmetric matrix to tridiagonal form.
-// On exit `z` holds the accumulated orthogonal transformation, `d` the
-// diagonal and `e` the subdiagonal (e[0] unused). Classic tred2. With
-// `want_vectors == false` the transformation is not accumulated.
+// Householder reduction of a symmetric matrix to tridiagonal form (classic
+// tred2) on the lower triangle. On exit `d` holds the diagonal and `e` the
+// subdiagonal (e[0] unused). With `want_vectors` the orthogonal
+// transformation Q is accumulated *transposed*: row j of `z` is column j
+// of Q. Every inner loop walks a row; each output element sees the same
+// operations in the same order as the textbook column walk.
 void tred2(Matrix& z, std::vector<double>& d, std::vector<double>& e,
-           bool want_vectors = true) {
-  const int n = static_cast<int>(z.rows());
-  for (int i = n - 1; i >= 1; --i) {
-    const int l = i - 1;
+           bool want_vectors) {
+  const std::size_t n = z.rows();
+  for (std::size_t i = n - 1; i >= 1; --i) {
+    const std::size_t l = i - 1;
+    double* u = z.row(i).data();
     double h = 0.0;
     double scale = 0.0;
     if (l > 0) {
-      for (int k = 0; k <= l; ++k)
-        scale += std::abs(z(static_cast<std::size_t>(i), static_cast<std::size_t>(k)));
+      for (std::size_t k = 0; k <= l; ++k) scale += std::abs(u[k]);
       if (scale == 0.0) {
-        e[static_cast<std::size_t>(i)] =
-            z(static_cast<std::size_t>(i), static_cast<std::size_t>(l));
+        e[i] = u[l];
       } else {
-        for (int k = 0; k <= l; ++k) {
-          auto& zik = z(static_cast<std::size_t>(i), static_cast<std::size_t>(k));
-          zik /= scale;
-          h += zik * zik;
+        for (std::size_t k = 0; k <= l; ++k) {
+          u[k] /= scale;
+          h += u[k] * u[k];
         }
-        double f = z(static_cast<std::size_t>(i), static_cast<std::size_t>(l));
+        double f = u[l];
         double g = (f >= 0.0 ? -std::sqrt(h) : std::sqrt(h));
-        e[static_cast<std::size_t>(i)] = scale * g;
+        e[i] = scale * g;
         h -= f * g;
-        z(static_cast<std::size_t>(i), static_cast<std::size_t>(l)) = f - g;
-        f = 0.0;
-        for (int j = 0; j <= l; ++j) {
-          z(static_cast<std::size_t>(j), static_cast<std::size_t>(i)) =
-              z(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) / h;
+        u[l] = f - g;
+        // e = A u from the lower triangle, one row at a time: row r holds
+        // the leading terms of e[r] and term r of every e[j], j < r.
+        for (std::size_t r = 0; r <= l; ++r) {
+          const double* zr = z.row(r).data();
           g = 0.0;
-          for (int k = 0; k <= j; ++k)
-            g += z(static_cast<std::size_t>(j), static_cast<std::size_t>(k)) *
-                 z(static_cast<std::size_t>(i), static_cast<std::size_t>(k));
-          for (int k = j + 1; k <= l; ++k)
-            g += z(static_cast<std::size_t>(k), static_cast<std::size_t>(j)) *
-                 z(static_cast<std::size_t>(i), static_cast<std::size_t>(k));
-          e[static_cast<std::size_t>(j)] = g / h;
-          f += e[static_cast<std::size_t>(j)] *
-               z(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
+          for (std::size_t k = 0; k <= r; ++k) g += zr[k] * u[k];
+          for (std::size_t k = 0; k < r; ++k) e[k] += zr[k] * u[r];
+          e[r] = g;
+        }
+        f = 0.0;
+        for (std::size_t j = 0; j <= l; ++j) {
+          e[j] /= h;
+          f += e[j] * u[j];
         }
         const double hh = f / (h + h);
-        for (int j = 0; j <= l; ++j) {
-          f = z(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
-          g = e[static_cast<std::size_t>(j)] - hh * f;
-          e[static_cast<std::size_t>(j)] = g;
-          for (int k = 0; k <= j; ++k)
-            z(static_cast<std::size_t>(j), static_cast<std::size_t>(k)) -=
-                f * e[static_cast<std::size_t>(k)] +
-                g * z(static_cast<std::size_t>(i), static_cast<std::size_t>(k));
+        for (std::size_t j = 0; j <= l; ++j) {
+          f = u[j];
+          g = e[j] - hh * f;
+          e[j] = g;
+          double* zj = z.row(j).data();
+          for (std::size_t k = 0; k <= j; ++k) zj[k] -= f * e[k] + g * u[k];
         }
       }
     } else {
-      e[static_cast<std::size_t>(i)] =
-          z(static_cast<std::size_t>(i), static_cast<std::size_t>(l));
+      e[i] = u[l];
     }
-    d[static_cast<std::size_t>(i)] = h;
+    d[i] = h;
   }
   d[0] = 0.0;
   e[0] = 0.0;
   if (!want_vectors) {
-    for (int i = 0; i < n; ++i)
-      d[static_cast<std::size_t>(i)] =
-          z(static_cast<std::size_t>(i), static_cast<std::size_t>(i));
+    for (std::size_t i = 0; i < n; ++i) d[i] = z(i, i);
     return;
   }
-  for (int i = 0; i < n; ++i) {
-    const int l = i - 1;
-    if (d[static_cast<std::size_t>(i)] != 0.0) {
-      // Applying Householder rotation i to the accumulated transformation:
-      // each column j reads only row i / column i (never written here) and
-      // writes only column j, so the columns are one parallel round. This
-      // is the O(n^3) term of the reduction.
-      const auto rotate_column = [&](std::size_t j) {
-        double g = 0.0;
-        for (int k = 0; k <= l; ++k)
-          g += z(static_cast<std::size_t>(i), static_cast<std::size_t>(k)) *
-               z(static_cast<std::size_t>(k), j);
-        for (int k = 0; k <= l; ++k)
-          z(static_cast<std::size_t>(k), j) -=
-              g * z(static_cast<std::size_t>(k), static_cast<std::size_t>(i));
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (d[i] != 0.0) {
+      // Householder i applied to the accumulated block: row j of Q^T
+      // reads only u (row i) and v = u / h, and writes only itself, so
+      // the rows are one parallel round. This is the O(n^3) term of the
+      // reduction.
+      const double* u = z.row(i).data();
+      for (std::size_t k = 0; k < i; ++k) v[k] = u[k] / d[i];
+      const auto rotate_rows = [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t j = lo; j < hi; ++j) {
+          double* w = z.row(j).data();
+          double g = 0.0;
+          for (std::size_t k = 0; k < i; ++k) g += u[k] * w[k];
+          for (std::size_t k = 0; k < i; ++k) w[k] -= g * v[k];
+        }
       };
-      const ExecutionContext& ctx = linalg_context();
-      if (l >= 127 && ctx.can_fan_out()) {
-        ctx.for_each(0, static_cast<std::size_t>(l + 1), rotate_column);
+      if (i >= 128) {
+        linalg_context().for_each_chunk(0, i, rotate_rows, 16);
       } else {
-        for (int j = 0; j <= l; ++j)
-          rotate_column(static_cast<std::size_t>(j));
+        rotate_rows(0, i);
       }
     }
-    d[static_cast<std::size_t>(i)] =
-        z(static_cast<std::size_t>(i), static_cast<std::size_t>(i));
-    z(static_cast<std::size_t>(i), static_cast<std::size_t>(i)) = 1.0;
-    for (int j = 0; j <= l; ++j) {
-      z(static_cast<std::size_t>(j), static_cast<std::size_t>(i)) = 0.0;
-      z(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) = 0.0;
-    }
+    d[i] = z(i, i);
+    z(i, i) = 1.0;
+    for (std::size_t j = 0; j < i; ++j) z(j, i) = z(i, j) = 0.0;
   }
 }
 
-// Implicit-shift QL iteration on a tridiagonal matrix, accumulating the
-// rotations into the eigenvector matrix `z` when `want_vectors`. Classic
-// tqli.
+// Implicit-shift QL iteration on a tridiagonal matrix (classic tqli). With
+// `want_vectors` the rotations are accumulated into the transposed basis
+// `z` from tred2, so each one updates two contiguous rows. The local
+// deflation test can stall on a fast-decaying spectrum, so an eigenvalue
+// that has taken kLocalIterations also deflates on the EISPACK norm test.
 void tql2(std::vector<double>& d, std::vector<double>& e, Matrix& z,
-          bool want_vectors = true) {
-  const int n = static_cast<int>(d.size());
-  for (int i = 1; i < n; ++i) e[static_cast<std::size_t>(i - 1)] = e[static_cast<std::size_t>(i)];
-  e[static_cast<std::size_t>(n - 1)] = 0.0;
-  for (int l = 0; l < n; ++l) {
+          bool want_vectors) {
+  constexpr int kLocalIterations = 64;
+  constexpr int kMaxIterations = 128;
+  const std::size_t n = d.size();
+  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+  double norm = 0.0;
+  for (std::size_t i = 0; i < n; ++i)
+    norm = std::max(norm, std::abs(d[i]) + std::abs(e[i]));
+  const double norm_floor =
+      4.0 * std::numeric_limits<double>::epsilon() * norm;
+  for (std::size_t l = 0; l < n; ++l) {
     int iter = 0;
-    int m = l;
+    std::size_t m = l;
     do {
       for (m = l; m < n - 1; ++m) {
-        const double dd = std::abs(d[static_cast<std::size_t>(m)]) +
-                          std::abs(d[static_cast<std::size_t>(m + 1)]);
-        if (std::abs(e[static_cast<std::size_t>(m)]) <= 1e-15 * dd) break;
+        const double dd = std::abs(d[m]) + std::abs(d[m + 1]);
+        if (std::abs(e[m]) <= 1e-15 * dd) break;
+        if (iter >= kLocalIterations && std::abs(e[m]) <= norm_floor) break;
       }
       if (m != l) {
-        check_numeric(iter++ < 64, "tql2: QL iteration failed to converge");
-        double g = (d[static_cast<std::size_t>(l + 1)] - d[static_cast<std::size_t>(l)]) /
-                   (2.0 * e[static_cast<std::size_t>(l)]);
+        check_numeric(iter++ < kMaxIterations,
+                      "tql2: QL iteration failed to converge");
+        double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
         double r = std::hypot(g, 1.0);
-        g = d[static_cast<std::size_t>(m)] - d[static_cast<std::size_t>(l)] +
-            e[static_cast<std::size_t>(l)] / (g + std::copysign(r, g));
+        g = d[m] - d[l] + e[l] / (g + std::copysign(r, g));
         double s = 1.0;
         double c = 1.0;
         double p = 0.0;
-        int i = m - 1;
-        for (; i >= l; --i) {
-          double f = s * e[static_cast<std::size_t>(i)];
-          const double b = c * e[static_cast<std::size_t>(i)];
+        bool underflow = false;
+        for (std::size_t i = m; i-- > l;) {
+          double f = s * e[i];
+          const double b = c * e[i];
           r = std::hypot(f, g);
-          e[static_cast<std::size_t>(i + 1)] = r;
+          e[i + 1] = r;
           if (r == 0.0) {
-            d[static_cast<std::size_t>(i + 1)] -= p;
-            e[static_cast<std::size_t>(m)] = 0.0;
+            d[i + 1] -= p;
+            e[m] = 0.0;
+            underflow = true;
             break;
           }
           s = f / r;
           c = g / r;
-          g = d[static_cast<std::size_t>(i + 1)] - p;
-          r = (d[static_cast<std::size_t>(i)] - g) * s + 2.0 * c * b;
+          g = d[i + 1] - p;
+          r = (d[i] - g) * s + 2.0 * c * b;
           p = s * r;
-          d[static_cast<std::size_t>(i + 1)] = g + p;
+          d[i + 1] = g + p;
           g = c * r - b;
           if (want_vectors) {
-            for (int k = 0; k < n; ++k) {
-              f = z(static_cast<std::size_t>(k), static_cast<std::size_t>(i + 1));
-              z(static_cast<std::size_t>(k), static_cast<std::size_t>(i + 1)) =
-                  s * z(static_cast<std::size_t>(k), static_cast<std::size_t>(i)) + c * f;
-              z(static_cast<std::size_t>(k), static_cast<std::size_t>(i)) =
-                  c * z(static_cast<std::size_t>(k), static_cast<std::size_t>(i)) - s * f;
+            double* zi = z.row(i).data();
+            double* zi1 = z.row(i + 1).data();
+            for (std::size_t k = 0; k < n; ++k) {
+              f = zi1[k];
+              zi1[k] = s * zi[k] + c * f;
+              zi[k] = c * zi[k] - s * f;
             }
           }
         }
-        if (r == 0.0 && i >= l) continue;
-        d[static_cast<std::size_t>(l)] -= p;
-        e[static_cast<std::size_t>(l)] = g;
-        e[static_cast<std::size_t>(m)] = 0.0;
+        if (underflow) continue;
+        d[l] -= p;
+        e[l] = g;
+        e[m] = 0.0;
       }
     } while (m != l);
   }
 }
 
-// Sorts eigenpairs ascending by eigenvalue.
-SymmetricEigen sorted(std::vector<double> d, Matrix z) {
+// Sorts eigenpairs ascending by eigenvalue; row j of `zt` is the
+// eigenvector of d[j].
+SymmetricEigen sorted(std::vector<double> d, const Matrix& zt) {
   const std::size_t n = d.size();
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -189,35 +189,38 @@ SymmetricEigen sorted(std::vector<double> d, Matrix z) {
   out.vectors = Matrix(n, n);
   for (std::size_t j = 0; j < n; ++j) {
     out.values[j] = d[order[j]];
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = z(i, order[j]);
+    const auto vec = zt.row(order[j]);
+    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = vec[i];
   }
   return out;
+}
+
+// Eigenvalues (unsorted) of the symmetric matrix in `z`; with
+// `want_vectors`, `z` ends as the transposed eigenbasis.
+std::vector<double> tridiagonal_ql(Matrix& z, bool want_vectors) {
+  const std::size_t n = z.rows();
+  std::vector<double> d(n, 0.0);
+  if (n == 0) return d;
+  std::vector<double> e(n, 0.0);
+  tred2(z, d, e, want_vectors);
+  tql2(d, e, z, want_vectors);
+  return d;
 }
 
 }  // namespace
 
 SymmetricEigen symmetric_eigen(const Matrix& a) {
   check_arg(a.square(), "symmetric_eigen: matrix not square");
-  const std::size_t n = a.rows();
-  if (n == 0) return {{}, Matrix(0, 0)};
   Matrix z = a;
-  std::vector<double> d(n, 0.0);
-  std::vector<double> e(n, 0.0);
-  if (n == 1) {
-    d[0] = a(0, 0);
-    z(0, 0) = 1.0;
-    return {std::move(d), std::move(z)};
-  }
-  tred2(z, d, e);
-  tql2(d, e, z);
-  return sorted(std::move(d), std::move(z));
+  std::vector<double> d = tridiagonal_ql(z, /*want_vectors=*/true);
+  return sorted(std::move(d), z);
 }
 
 SymmetricEigen jacobi_eigen(const Matrix& a, int max_sweeps, double tol) {
   check_arg(a.square(), "jacobi_eigen: matrix not square");
   const std::size_t n = a.rows();
   Matrix m = a;
-  Matrix v = Matrix::identity(n);
+  Matrix vt = Matrix::identity(n);  // row p is eigenvector column p
   const double scale = std::max(a.max_abs(), 1e-300);
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     double off = 0.0;
@@ -245,41 +248,34 @@ SymmetricEigen jacobi_eigen(const Matrix& a, int max_sweeps, double tol) {
           m(p, k) = c * mpk - s * mqk;
           m(q, k) = s * mpk + c * mqk;
         }
+        const auto vp = vt.row(p);
+        const auto vq = vt.row(q);
         for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
+          const double vkp = vp[k];
+          const double vkq = vq[k];
+          vp[k] = c * vkp - s * vkq;
+          vq[k] = s * vkp + c * vkq;
         }
       }
     }
   }
   std::vector<double> d(n);
   for (std::size_t i = 0; i < n; ++i) d[i] = m(i, i);
-  return sorted(std::move(d), std::move(v));
+  return sorted(std::move(d), vt);
 }
 
 std::vector<double> symmetric_eigenvalues(const Matrix& a) {
   check_arg(a.square(), "symmetric_eigenvalues: matrix not square");
-  const std::size_t n = a.rows();
-  if (n == 0) return {};
   Matrix z = a;
-  std::vector<double> d(n, 0.0);
-  std::vector<double> e(n, 0.0);
-  if (n == 1) {
-    d[0] = a(0, 0);
-    return d;
-  }
-  tred2(z, d, e, /*want_vectors=*/false);
-  tql2(d, e, z, /*want_vectors=*/false);
+  std::vector<double> d = tridiagonal_ql(z, /*want_vectors=*/false);
   std::sort(d.begin(), d.end());
   return d;
 }
 
 double spectral_norm_symmetric(const Matrix& a) {
-  const auto eigen = symmetric_eigen(a);
   double best = 0.0;
-  for (const double v : eigen.values) best = std::max(best, std::abs(v));
+  for (const double v : symmetric_eigenvalues(a))
+    best = std::max(best, std::abs(v));
   return best;
 }
 

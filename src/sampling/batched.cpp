@@ -124,6 +124,7 @@ SampleResult sample_batched_on(CommittedOracle& state, RandomStream& rng,
                                const BatchedOptions& options) {
   check_arg(state.committed_count() == 0,
             "sample_batched_on: state not at its base distribution");
+  const std::size_t refreshes_before = state.spectral_refreshes();
   SampleResult result;
   IndexTracker tracker(state.ground_size());
   const double round_bound =
@@ -173,6 +174,8 @@ SampleResult sample_batched_on(CommittedOracle& state, RandomStream& rng,
     tracker.remove(std::move(accepted->batch));
   }
   std::sort(result.items.begin(), result.items.end());
+  result.diag.spectral_refreshes =
+      state.spectral_refreshes() - refreshes_before;
   if (ctx.ledger() != nullptr) result.diag.pram = ctx.ledger()->stats();
   return result;
 }

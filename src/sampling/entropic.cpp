@@ -39,6 +39,7 @@ SampleResult sample_entropic_on(CommittedOracle& state, RandomStream& rng,
   check_arg(options.alpha > 0.0, "sample_entropic: alpha must be positive");
   check_arg(state.committed_count() == 0,
             "sample_entropic_on: state not at its base distribution");
+  const std::size_t refreshes_before = state.spectral_refreshes();
   SampleResult result;
   IndexTracker tracker(state.ground_size());
   const auto k0 = static_cast<double>(state.sample_size());
@@ -115,6 +116,8 @@ SampleResult sample_entropic_on(CommittedOracle& state, RandomStream& rng,
     tracker.remove(std::move(base_batch));
   }
   std::sort(result.items.begin(), result.items.end());
+  result.diag.spectral_refreshes =
+      state.spectral_refreshes() - refreshes_before;
   if (ctx.ledger() != nullptr) result.diag.pram = ctx.ledger()->stats();
   return result;
 }

@@ -42,9 +42,8 @@ SampleResult sample_small_dpp_bernoulli(const Matrix& kernel,
   if (n == 0) return result;
 
   // Spectrum of K: needed for det(I - K) and L = K(I-K)^{-1}.
-  const auto eig = symmetric_eigen(kernel);
   double log_det_i_minus_k = 0.0;
-  for (const double lambda : eig.values) {
+  for (const double lambda : symmetric_eigenvalues(kernel)) {
     check_numeric(lambda < 1.0 - 1e-12 && lambda > -1e-8,
                   "sample_small_dpp_bernoulli: kernel eigenvalue outside "
                   "[0, 1)");

@@ -8,6 +8,7 @@ SampleResult sample_sequential_on(CommittedOracle& state, RandomStream& rng,
                                   PramLedger* ledger) {
   check_arg(state.committed_count() == 0,
             "sample_sequential_on: state not at its base distribution");
+  const std::size_t refreshes_before = state.spectral_refreshes();
   SampleResult result;
   IndexTracker tracker(state.ground_size());
   while (state.sample_size() > 0) {
@@ -23,6 +24,8 @@ SampleResult sample_sequential_on(CommittedOracle& state, RandomStream& rng,
     tracker.remove(batch);
   }
   std::sort(result.items.begin(), result.items.end());
+  result.diag.spectral_refreshes =
+      state.spectral_refreshes() - refreshes_before;
   if (ledger != nullptr) result.diag.pram = ledger->stats();
   return result;
 }

@@ -99,24 +99,15 @@ SampleResult SamplerSession::run(CommittedOracle& state,
   // nesting guard would degenerate them anyway): the round loops run on a
   // serial context, cross-sample concurrency being the session's axis.
   const ExecutionContext serial = ExecutionContext::serial();
-  // The state's refresh counter is monotone across reset(); the delta
-  // around one draw is that draw's eigensolve-fallback count.
-  const std::size_t refreshes_before = state.spectral_refreshes();
-  SampleResult result;
   switch (options_.kind) {
     case SamplerKind::kBatched:
-      result = sample_batched_on(state, rng, serial, options_.batched);
-      break;
+      return sample_batched_on(state, rng, serial, options_.batched);
     case SamplerKind::kEntropic:
-      result = sample_entropic_on(state, rng, serial, options_.entropic);
-      break;
+      return sample_entropic_on(state, rng, serial, options_.entropic);
     case SamplerKind::kSequential:
-      result = sample_sequential_on(state, rng);
-      break;
+      return sample_sequential_on(state, rng);
   }
-  result.diag.spectral_refreshes =
-      state.spectral_refreshes() - refreshes_before;
-  return result;
+  return {};
 }
 
 SampleResult SamplerSession::draw_with_plan(const DistillationPlan& plan,

@@ -3,13 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
+#include "dpp/ensemble.h"
 #include "linalg/charpoly.h"
 #include "linalg/esp.h"
 #include "linalg/schur.h"
 #include "linalg/factory.h"
 #include "linalg/lu.h"
 #include "linalg/symmetric_eigen.h"
+#include "parallel/execution.h"
+#include "parallel/thread_pool.h"
+#include "sampling/filtering.h"
 #include "support/combinatorics.h"
 #include "support/logsum.h"
 #include "support/random.h"
@@ -95,6 +103,238 @@ TEST(Eigen, HandlesZeroAndOneByOne) {
   one(0, 0) = 5.0;
   const auto single = symmetric_eigen(one);
   EXPECT_DOUBLE_EQ(single.values[0], 5.0);
+}
+
+// Fast-decaying PSD spectra leave subdiagonal entries that the local,
+// relative deflation test alone never accepts; the QL iteration must still
+// converge to an accurate, orthonormal decomposition.
+TEST(Eigen, ConvergesOnFastDecayingSpectra) {
+  struct Case {
+    std::size_t n;
+    double rate;  // lambda_i = exp(-i * rate)
+  };
+  for (const Case c : {Case{96, 0.5}, Case{144, 0.25}, Case{200, 0.25}}) {
+    std::vector<double> spectrum(c.n);
+    for (std::size_t i = 0; i < c.n; ++i)
+      spectrum[i] = std::exp(-static_cast<double>(i) * c.rate);
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      RandomStream rng(seed);
+      const Matrix a = kernel_with_spectrum(spectrum, rng);
+      SymmetricEigen eig;
+      ASSERT_NO_THROW(eig = symmetric_eigen(a))
+          << "n=" << c.n << " rate=" << c.rate << " seed=" << seed;
+      EXPECT_EQ(symmetric_eigenvalues(a), eig.values);
+      double residual = 0.0;
+      double orthogonality = 0.0;
+      for (std::size_t j = 0; j < c.n; ++j) {
+        for (std::size_t i = 0; i < c.n; ++i) {
+          double av = 0.0;
+          double vv = 0.0;
+          for (std::size_t m = 0; m < c.n; ++m) {
+            av += a(i, m) * eig.vectors(m, j);
+            vv += eig.vectors(m, i) * eig.vectors(m, j);
+          }
+          residual = std::max(
+              residual, std::abs(av - eig.values[j] * eig.vectors(i, j)));
+          orthogonality =
+              std::max(orthogonality, std::abs(vv - (i == j ? 1.0 : 0.0)));
+        }
+      }
+      EXPECT_LE(residual, 1e-13)
+          << "n=" << c.n << " rate=" << c.rate << " seed=" << seed;
+      EXPECT_LE(orthogonality, 1e-12)
+          << "n=" << c.n << " rate=" << c.rate << " seed=" << seed;
+    }
+  }
+}
+
+// ---- Bit-identity pins ----
+//
+// FNV-1a fingerprints of the exact output bits of the eigensolvers, the LU
+// inverse / multi-RHS solve and seeded filtering samples. The expected
+// values are those of the textbook column-walk loops (one right-hand side
+// at a time for LU): the row-oriented loops must reproduce them with the
+// linalg pool detached or attached at any size, and on either SIMD arm.
+
+class BitHash {
+ public:
+  void add(double x) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    add_word(bits);
+  }
+  void add(std::complex<double> x) {
+    add(x.real());
+    add(x.imag());
+  }
+  template <typename T>
+  void add(const BasicMatrix<T>& m) {
+    add_word(m.rows());
+    add_word(m.cols());
+    for (std::size_t i = 0; i < m.rows(); ++i)
+      for (std::size_t j = 0; j < m.cols(); ++j) add(m(i, j));
+  }
+  void add(const std::vector<double>& v) {
+    add_word(v.size());
+    for (const double x : v) add(x);
+  }
+  void add(const std::vector<int>& v) {
+    add_word(v.size());
+    for (const int x : v) add_word(static_cast<std::uint64_t>(x));
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  void add_word(std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      hash_ ^= (word >> (8 * b)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+template <typename... Parts>
+std::uint64_t fingerprint(const Parts&... parts) {
+  BitHash h;
+  (h.add(parts), ...);
+  return h.value();
+}
+
+struct LinalgPins {
+  std::uint64_t eigen;
+  std::uint64_t eigenvalues;
+  std::uint64_t jacobi;
+  std::uint64_t inverse;
+  std::uint64_t solve;
+  std::uint64_t complex_inverse;
+  std::uint64_t filtering;
+};
+
+LinalgPins compute_pins(std::size_t n, const ExecutionContext& ctx) {
+  RandomStream rng(0xb17b17 + n);
+  Matrix sym(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j)
+      sym(i, j) = sym(j, i) = rng.uniform(-1.0, 1.0);
+  Matrix general(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) general(i, j) = rng.uniform(-1.0, 1.0);
+  Matrix rhs(n, 5);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < 5; ++j) rhs(i, j) = rng.uniform(-1.0, 1.0);
+  CMatrix complex_general(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      complex_general(i, j) = {rng.uniform(-1.0, 1.0),
+                               rng.uniform(-1.0, 1.0)};
+  std::vector<double> spectrum(n);
+  for (std::size_t i = 0; i < n; ++i)
+    spectrum[i] = 0.4 * (0.25 + 0.75 * static_cast<double>(i) /
+                                    static_cast<double>(std::max<std::size_t>(
+                                        n - 1, 1)));
+  const Matrix ensemble =
+      ensemble_from_kernel(kernel_with_spectrum(spectrum, rng));
+
+  const auto eig = symmetric_eigen(sym);
+  const auto jac = jacobi_eigen(sym);
+  const auto lu = lu_factor(general);
+  std::vector<std::vector<int>> samples;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    RandomStream draw(seed);
+    samples.push_back(sample_filtering_dpp(ensemble, draw, ctx).items);
+  }
+  return {fingerprint(eig.values, eig.vectors),
+          fingerprint(symmetric_eigenvalues(sym)),
+          fingerprint(jac.values, jac.vectors),
+          fingerprint(lu.inverse()),
+          fingerprint(lu.solve_matrix(rhs)),
+          fingerprint(lu_factor(complex_general).inverse()),
+          fingerprint(samples[0], samples[1], samples[2])};
+}
+
+void expect_pins(std::size_t n, const LinalgPins& want, const LinalgPins& got,
+                 const std::string& where) {
+  const auto hex = [](std::uint64_t v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llxULL",
+                  static_cast<unsigned long long>(v));
+    return std::string(buf);
+  };
+  const std::string at = "n=" + std::to_string(n) + " " + where;
+  EXPECT_EQ(got.eigen, want.eigen) << at << " eigen " << hex(got.eigen);
+  EXPECT_EQ(got.eigenvalues, want.eigenvalues)
+      << at << " eigenvalues " << hex(got.eigenvalues);
+  EXPECT_EQ(got.jacobi, want.jacobi) << at << " jacobi " << hex(got.jacobi);
+  EXPECT_EQ(got.inverse, want.inverse) << at << " inverse " << hex(got.inverse);
+  EXPECT_EQ(got.solve, want.solve) << at << " solve " << hex(got.solve);
+  EXPECT_EQ(got.complex_inverse, want.complex_inverse)
+      << at << " complex_inverse " << hex(got.complex_inverse);
+  EXPECT_EQ(got.filtering, want.filtering)
+      << at << " filtering " << hex(got.filtering);
+}
+
+TEST(BitIdentity, LinalgAndFilteringOutputsArePinned) {
+  struct Pinned {
+    std::size_t n;
+    LinalgPins pins;
+  };
+  const Pinned table[] = {
+      {1,
+       {0x6035c34a3160a766ULL, 0x5961f68ead9cd117ULL,
+        0x6035c34a3160a766ULL, 0x149d49495d8b7532ULL,
+        0xcab9dbcb7fffcaccULL, 0xdbd7a56549ddb5f3ULL,
+        0x81d23fd7003c2305ULL}},
+      {2,
+       {0x529e5ce5629ee150ULL, 0x17e7701a5ae26a94ULL,
+        0x529e5ce5629ee150ULL, 0xed7f865f83a184c2ULL,
+        0xb741bc483c9d93b8ULL, 0xad52874221e72066ULL,
+        0x8a7c00ee61153405ULL}},
+      {3,
+       {0xcc454311ceb40249ULL, 0x4d89f2748b2d6c64ULL,
+        0x6ddb3a2d5aefc48cULL, 0x4136329c5098acefULL,
+        0x04ad00284f76580aULL, 0x68b978bc6fc41d4bULL,
+        0xde5e65ee800e32a5ULL}},
+      {17,
+       {0x84998a5cdb61538dULL, 0xb274221d93e36fcaULL,
+        0x797e1704938be724ULL, 0x1ac8d8ba3d4da218ULL,
+        0xb93e022a25188b49ULL, 0x0ba20f42a3a65b3eULL,
+        0xbdb38f13b96f3e3bULL}},
+      {96,
+       {0xfa4622cccb306e6aULL, 0x4186d4f0242bed65ULL,
+        0x035664a0a31f29cdULL, 0x69151ee7cac3372aULL,
+        0xd06b61d5d9a899e1ULL, 0x022d97a6aacd54e9ULL,
+        0x1db50a9f18964703ULL}},
+      {128,
+       {0x0a969170d066dcd5ULL, 0xad444a4a635e4b2eULL,
+        0x9d44dfaa42dd6ccfULL, 0x4ad55b55bfb54f7aULL,
+        0x7ab0d1743b76f822ULL, 0x4340c3e4278caabcULL,
+        0xff1672e9d0a9c9b8ULL}},
+      {144,
+       {0x370638966813e3bdULL, 0x2bbc3b5878dd8f92ULL,
+        0x0ac3fbfad53ea1deULL, 0x27e440a08a6a3feaULL,
+        0x3c64d1f5a20e89a4ULL, 0x7f013ee6052d1ad3ULL,
+        0x89bd55e0607c7aeaULL}},
+      {200,
+       {0x8074636f5231bc55ULL, 0x51ab96ca95410ce9ULL,
+        0x354bb43d5ff76240ULL, 0xfad4525ba069c8c7ULL,
+        0x6291fe2d2ab2fbc6ULL, 0x43da93f9f7aa29d8ULL,
+        0xc94cde9634405b69ULL}},
+  };
+  for (const Pinned& p : table) {
+    expect_pins(p.n, p.pins, compute_pins(p.n, ExecutionContext::serial()),
+                "detached");
+    if (p.n < 128) continue;
+    // Large enough for the eigensolver's pooled accumulation to fan out.
+    for (const std::size_t threads : {1, 4}) {
+      ThreadPool pool(threads);
+      set_linalg_pool(&pool);
+      const LinalgPins got =
+          compute_pins(p.n, ExecutionContext(&pool, nullptr));
+      set_linalg_pool(nullptr);
+      expect_pins(p.n, p.pins, got, "pool=" + std::to_string(threads));
+    }
+  }
 }
 
 // ---- Elementary symmetric polynomials ----

@@ -16,6 +16,7 @@
 #include "sampling/entropic.h"
 #include "sampling/rejection.h"
 #include "sampling/sequential.h"
+#include "sampling/session.h"
 #include "support/random.h"
 #include "test_util.h"
 
@@ -100,6 +101,52 @@ TEST_P(BatchedSymmetric, DistributionMatchesEnumeration) {
 INSTANTIATE_TEST_SUITE_P(KAndSeeds, BatchedSymmetric,
                          ::testing::Combine(::testing::Values(2, 3, 4),
                                             ::testing::Values(1, 2)));
+
+// The theorem-10 RBF workload (n = 144, k = 36, bandwidth 0.25) pays
+// commit-path eigensolve refreshes; a direct sampler call must report the
+// same per-draw count as a session draw of the same seed.
+TEST(BatchedSampler, DirectCallsReportSpectralRefreshesLikeSessions) {
+  RandomStream setup(2024);
+  Matrix l = rbf_kernel(random_points(144, 2, setup), 0.25);
+  for (std::size_t i = 0; i < l.rows(); ++i) l(i, i) += 1e-6;
+  const SymmetricKdppOracle oracle(l, 36);
+  for (const SamplerKind kind :
+       {SamplerKind::kBatched, SamplerKind::kEntropic,
+        SamplerKind::kSequential}) {
+    SessionOptions options;
+    options.kind = kind;
+    SamplerSession session(oracle, options);
+    std::size_t total = 0;
+    // An entropic draw costs about ten batched ones at this size.
+    const std::uint64_t seeds = kind == SamplerKind::kEntropic ? 1 : 3;
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+      RandomStream direct_rng(seed);
+      const auto state = oracle.make_committed();
+      SampleResult direct;
+      switch (kind) {
+        case SamplerKind::kBatched:
+          direct = sample_batched_on(*state, direct_rng,
+                                     ExecutionContext::serial());
+          break;
+        case SamplerKind::kEntropic:
+          direct = sample_entropic_on(*state, direct_rng,
+                                      ExecutionContext::serial());
+          break;
+        case SamplerKind::kSequential:
+          direct = sample_sequential_on(*state, direct_rng);
+          break;
+      }
+      RandomStream session_rng(seed);
+      const SampleResult via_session = session.draw(session_rng);
+      EXPECT_EQ(direct.items, via_session.items);
+      EXPECT_EQ(direct.diag.spectral_refreshes,
+                via_session.diag.spectral_refreshes)
+          << sampler_kind_name(kind) << " seed " << seed;
+      total += direct.diag.spectral_refreshes;
+    }
+    EXPECT_GT(total, 0u) << sampler_kind_name(kind);
+  }
+}
 
 TEST(BatchedSampler, RoundCountRespectsProposition28) {
   RandomStream rng(1011);
