@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <vector>
 
 #include "bench_util.h"
@@ -28,6 +29,7 @@
 #include "linalg/factory.h"
 #include "linalg/lu.h"
 #include "linalg/pfaffian.h"
+#include "linalg/schur.h"
 #include "linalg/simd.h"
 #include "linalg/symmetric_eigen.h"
 #include "support/random.h"
@@ -382,6 +384,47 @@ int run_kernel_series() {
     });
     record_kernel(json, table, "lu_inverse", n, 1, /*headline=*/false,
                   inverse);
+  }
+
+  {
+    // The symmetric commit's diagonal downdate at a theorem-10 first
+    // round's shape: n = 144, an accepted block of s = 6, diagonal
+    // moments up to v = 30. Plain loops, so the speedup reads parity;
+    // recorded for its cost, not gated.
+    constexpr std::size_t kN = 144;
+    constexpr std::size_t kS = 6;
+    constexpr std::size_t kVmax = 30;
+    const Matrix a = psd_fixture(kN);
+    double scale = 0.0;
+    for (std::size_t i = 0; i < kN; ++i) scale = std::max(scale, a(i, i));
+    std::vector<int> elim(kS);
+    IncrementalCholesky chol(kS);
+    std::vector<double> row;
+    for (std::size_t r = 0; r < kS; ++r) {
+      elim[r] = static_cast<int>(24 * r + 5);
+      row.resize(r + 1);
+      for (std::size_t c = 0; c <= r; ++c)
+        row[c] = a(static_cast<std::size_t>(elim[r]),
+                   static_cast<std::size_t>(elim[c]));
+      if (!chol.append(row)) break;
+    }
+    if (chol.size() == kS) {
+      BlockMomentProbe probe;
+      probe.build(a, scale, elim, chol, kVmax);
+      RandomStream rng(31);
+      std::vector<double> base(kVmax * kN);
+      for (double& x : base) x = rng.uniform();
+      std::vector<int> rows(kN);
+      std::iota(rows.begin(), rows.end(), 0);
+      std::vector<double> out;
+      std::vector<double> out_abs;
+      const ArmTiming downdate = time_arms(kRepeats, 8, [&] {
+        probe.downdated_diag(rows, base, base, kVmax, out, out_abs);
+        benchmark::DoNotOptimize(out[0]);
+      });
+      record_kernel(json, table, "diag_downdate", kN, kS,
+                    /*headline=*/false, downdate);
+    }
   }
 
   table.print();

@@ -401,18 +401,19 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
         base_chol_.truncate();  // drop this batch's partial rows
       }
     }
-    // Stage the factor-native moment downdate against the pre-commit
-    // ensemble (the probe reads `src`, which the swap below retires) and
-    // check the eliminated rows' residuals against the drift bound.
-    const std::size_t k_next = k_cur_ - tsize;
-    const bool fast_ok = k_next > 0 && stage_downdate(src, batch, k_next);
-    // Condition in place by the half-solve Schur complement on
-    // persistent scratch.
+    // The kept rows, ascending: the conditional's index set.
     mask_.assign(n, 0);
     for (const int i : batch) mask_[static_cast<std::size_t>(i)] = 1;
     keep_.clear();
     for (std::size_t i = 0; i < n; ++i)
       if (mask_[i] == 0) keep_.push_back(static_cast<int>(i));
+    // Stage the factor-native moment downdate against the pre-commit
+    // ensemble (the probe reads `src`, which the swap below retires).
+    const std::size_t k_next = k_cur_ - tsize;
+    std::optional<NewtonEsp> fast;
+    if (k_next > 0) fast = stage_downdate(src, batch, k_next);
+    // Condition in place by the half-solve Schur complement on
+    // persistent scratch.
     schur_complement_sym_into(src, keep_, batch, elim_chol_, y_, next_);
     std::swap(m_, next_);
     // Record the accepted ids in batch order — the same order their
@@ -428,9 +429,9 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
     ++rounds_;
     if (k_cur_ == 0) {
       trivial_refresh();
-    } else if (fast_ok) {
-      adopt_staged_basis(n);
-      finalize_fast();
+    } else if (fast.has_value()) {
+      adopt_staged_basis();
+      finalize_fast(*fast);
     } else {
       spectral_refresh();
     }
@@ -547,76 +548,59 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
     return *log_marginals_;
   }
 
-  // Builds the moment probe over the accepted block's factor and stages
-  // downdated traces / diagonal moments for the conditional. Returns
-  // false — caller refactorizes spectrally — when the eliminated rows'
-  // residual moments exceed the drift bound: in exact arithmetic they are
-  // zero, so their magnitude *is* the accumulated factorization drift.
-  bool stage_downdate(const Matrix& src, std::span<const int> batch,
-                      std::size_t k_next) {
+  // Builds the moment probe over the accepted block's factor and runs the
+  // fast path's checks cheapest first: the eliminated rows' residual
+  // moments against the drift bound (zero in exact arithmetic, so their
+  // magnitude *is* the accumulated factorization drift), the Newton
+  // guards on the downdated traces, then the symmetric.commit.guard
+  // failpoint. Only when all pass does it stage the diagonal downdate of
+  // the kept rows (keep_, already in the conditional's order) and return
+  // the Newton ESPs; nullopt means the caller refactorizes spectrally.
+  std::optional<NewtonEsp> stage_downdate(const Matrix& src,
+                                          std::span<const int> batch,
+                                          std::size_t k_next) {
     const PowerBasis& pb = rounds_ == 0 ? base_->power_basis() : basis_;
-    if (pb.traces.size() < k_next) return false;
-    staged_scale_ = pb.scale;
-    staged_log_scale_ = pb.log_scale;
+    if (pb.traces.size() < k_next) return std::nullopt;
     probe_.build(src, pb.scale, batch, elim_chol_, k_next);
     probe_.downdated_traces(pb.traces, pb.traces_abs, k_next, staged_traces_,
                             staged_traces_abs_);
-    probe_.downdated_diag(pb.diag, pb.diag_abs, k_next, staged_diag_,
-                          staged_diag_abs_);
-    const std::size_t n = src.rows();
     const std::size_t vcheck = std::min<std::size_t>(2, k_next);
-    for (std::size_t v = 1; v <= vcheck; ++v) {
-      for (const int b : batch) {
-        const double d =
-            staged_diag_[(v - 1) * n + static_cast<std::size_t>(b)];
-        const double da =
-            staged_diag_abs_[(v - 1) * n + static_cast<std::size_t>(b)];
-        if (!(std::abs(d) <= kCommitDriftGuard * da)) return false;
-      }
+    probe_.downdated_diag(batch, pb.diag, pb.diag_abs, vcheck, staged_diag_,
+                          staged_diag_abs_);
+    for (std::size_t j = 0; j < staged_diag_.size(); ++j) {
+      if (!(std::abs(staged_diag_[j]) <=
+            kCommitDriftGuard * staged_diag_abs_[j]))
+        return std::nullopt;
     }
-    return true;
-  }
-
-  // Adopts the staged basis for the new conditional: traces move over,
-  // diagonal moments are compacted onto the kept rows (the eliminated
-  // rows' residuals were just checked against the drift bound).
-  void adopt_staged_basis(std::size_t old_n) {
-    basis_.scale = staged_scale_;
-    basis_.log_scale = staged_log_scale_;
-    basis_.traces.swap(staged_traces_);
-    basis_.traces_abs.swap(staged_traces_abs_);
-    const std::size_t new_n = keep_.size();
-    basis_.diag.resize(k_cur_ * new_n);
-    basis_.diag_abs.resize(k_cur_ * new_n);
-    for (std::size_t v = 1; v <= k_cur_; ++v) {
-      const double* sd = staged_diag_.data() + (v - 1) * old_n;
-      const double* sda = staged_diag_abs_.data() + (v - 1) * old_n;
-      double* dd = basis_.diag.data() + (v - 1) * new_n;
-      double* dda = basis_.diag_abs.data() + (v - 1) * new_n;
-      for (std::size_t j = 0; j < new_n; ++j) {
-        const auto si = static_cast<std::size_t>(keep_[j]);
-        dd[j] = sd[si];
-        dda[j] = sda[si];
-      }
-    }
-  }
-
-  // Factor-native refresh: Newton e_j from the downdated traces, the
-  // marginal vector from the adjugate expansion over the downdated
-  // diagonal moments. Items whose numerator fails its cancellation floor
-  // (small marginals amplify the alternating sum's roundoff) are resolved
-  // exactly one by one; more than kMaxMarginalFixups of them — or any
-  // global guard trip, including the sum rule |sum p - k| — demotes the
-  // whole round to a spectral refresh.
-  void finalize_fast() {
-    const NewtonEsp ne = esp_from_power_traces(basis_.traces, k_cur_);
+    NewtonEsp ne = esp_from_power_traces(staged_traces_, k_next);
     // The failpoint demotes the round to a spectral refresh — the same
     // exact fallback a genuine cancellation-guard trip pays.
-    if (!newton_trustworthy(basis_.traces, basis_.traces_abs, ne, k_cur_) ||
-        failpoint("symmetric.commit.guard")) {
-      spectral_refresh();
-      return;
-    }
+    if (!newton_trustworthy(staged_traces_, staged_traces_abs_, ne, k_next) ||
+        failpoint("symmetric.commit.guard"))
+      return std::nullopt;
+    probe_.downdated_diag(keep_, pb.diag, pb.diag_abs, k_next, staged_diag_,
+                          staged_diag_abs_);
+    return ne;
+  }
+
+  // Adopts the staged basis for the new conditional. The scale is fixed
+  // per run — the base basis and reset() derive it from the same
+  // diagonal — so it carries over unchanged.
+  void adopt_staged_basis() {
+    basis_.traces.swap(staged_traces_);
+    basis_.traces_abs.swap(staged_traces_abs_);
+    basis_.diag.swap(staged_diag_);
+    basis_.diag_abs.swap(staged_diag_abs_);
+  }
+
+  // Factor-native refresh: e_j from the staged Newton ESPs (already
+  // guarded), the marginal vector from the adjugate expansion over the
+  // downdated diagonal moments. Items whose numerator fails its
+  // cancellation floor (small marginals amplify the alternating sum's
+  // roundoff) are resolved exactly one by one; more than
+  // kMaxMarginalFixups of them — or a non-finite numerator, or the sum
+  // rule |sum p - k| — demotes the whole round to a spectral refresh.
+  void finalize_fast(const NewtonEsp& ne) {
     const std::size_t n = m_.rows();
     const std::size_t kc = k_cur_;
     std::vector<double> p(n, 0.0);
@@ -724,8 +708,6 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
   std::optional<std::vector<double>> log_marginals_;
   // reused scratch
   BlockMomentProbe probe_;
-  double staged_scale_ = 1.0;
-  double staged_log_scale_ = 0.0;
   std::vector<double> staged_traces_;
   std::vector<double> staged_traces_abs_;
   std::vector<double> staged_diag_;

@@ -269,7 +269,8 @@ void BlockMomentProbe::downdated_traces(std::span<const double> base,
   }
 }
 
-void BlockMomentProbe::downdated_diag(std::span<const double> base,
+void BlockMomentProbe::downdated_diag(std::span<const int> rows,
+                                      std::span<const double> base,
                                       std::span<const double> base_abs,
                                       std::size_t vmax,
                                       std::vector<double>& out,
@@ -277,50 +278,75 @@ void BlockMomentProbe::downdated_diag(std::span<const double> base,
   check_arg(vmax <= orders_, "BlockMomentProbe: vmax exceeds built orders");
   check_arg(base.size() >= vmax * n_ && base_abs.size() >= vmax * n_,
             "BlockMomentProbe: base diagonal moments too short");
-  out.assign(base.begin(),
-             base.begin() + static_cast<std::ptrdiff_t>(vmax * n_));
-  out_abs.assign(base_abs.begin(),
-                 base_abs.begin() + static_cast<std::ptrdiff_t>(vmax * n_));
-  if (s_ == 0) return;
-  // d'_v[i] = d_v[i] + sum_{a+b+m=v-1} w_a[i]^T Gamma_m w_b[i]; the
-  // (a,b) and (b,a) terms agree because Gamma_m is symmetric, so sweep
-  // a <= b with a factor of two off the diagonal.
-  std::vector<double> gw(s_), gw_abs(s_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t v = 1; v <= vmax; ++v) {
-      double acc = 0.0;
-      double acc_abs = 0.0;
-      for (std::size_t a = 0; a < v; ++a) {
-        const double* wa = w_.data() + a * n_ * s_ + i * s_;
-        for (std::size_t b = a; a + b < v; ++b) {
-          const std::size_t m_ord = v - 1 - a - b;
-          const double* gm = g_.data() + m_ord * s_ * s_;
-          const double* gm_abs = g_abs_.data() + m_ord * s_ * s_;
-          const double* wb = w_.data() + b * n_ * s_ + i * s_;
-          for (std::size_t r = 0; r < s_; ++r) {
-            double dot = 0.0;
-            double dot_abs = 0.0;
-            for (std::size_t c = 0; c < s_; ++c) {
-              dot += gm[r * s_ + c] * wb[c];
-              dot_abs += gm_abs[r * s_ + c] * std::abs(wb[c]);
-            }
-            gw[r] = dot;
-            gw_abs[r] = dot_abs;
-          }
-          double q = 0.0;
-          double q_abs = 0.0;
-          for (std::size_t r = 0; r < s_; ++r) {
-            q += wa[r] * gw[r];
-            q_abs += std::abs(wa[r]) * gw_abs[r];
-          }
-          const double mult = (a == b) ? 1.0 : 2.0;
-          acc += mult * q;
-          acc_abs += mult * q_abs;
-        }
-      }
-      out[(v - 1) * n_ + i] += acc;
-      out_abs[(v - 1) * n_ + i] += acc_abs;
+  const std::size_t nr = rows.size();
+  out.resize(vmax * nr);
+  out_abs.resize(vmax * nr);
+  for (std::size_t j = 0; j < nr; ++j) {
+    check_arg(rows[j] >= 0 && static_cast<std::size_t>(rows[j]) < n_,
+              "BlockMomentProbe: row index out of range");
+    const auto i = static_cast<std::size_t>(rows[j]);
+    for (std::size_t v = 0; v < vmax; ++v) {
+      out[v * nr + j] = base[v * n_ + i];
+      out_abs[v * nr + j] = base_abs[v * n_ + i];
     }
+  }
+  if (s_ == 0) return;
+  std::vector<double> gw(vmax * vmax * s_), gw_abs(vmax * vmax * s_);
+  for (std::size_t j = 0; j < nr; ++j)
+    add_row_downdate(static_cast<std::size_t>(rows[j]), vmax, gw.data(),
+                     gw_abs.data(), out.data() + j, out_abs.data() + j, nr);
+}
+
+void BlockMomentProbe::add_row_downdate(std::size_t i, std::size_t vmax,
+                                        double* gw, double* gw_abs,
+                                        double* out, double* out_abs,
+                                        std::size_t stride) const {
+  // d'_v[i] = d_v[i] + sum_{a+b+m=v-1} w_a[i]^T Gamma_m w_b[i]. Each
+  // product Gamma_m w_b[i] (m + b < vmax) is formed once, into slot
+  // (m * vmax + b) of gw, and shared by every a that pairs with it.
+  for (std::size_t m_ord = 0; m_ord < vmax; ++m_ord) {
+    const double* gm = g_.data() + m_ord * s_ * s_;
+    const double* gm_abs = g_abs_.data() + m_ord * s_ * s_;
+    for (std::size_t b = 0; m_ord + b < vmax; ++b) {
+      const double* wb = w_.data() + b * n_ * s_ + i * s_;
+      double* prod = gw + (m_ord * vmax + b) * s_;
+      double* prod_abs = gw_abs + (m_ord * vmax + b) * s_;
+      for (std::size_t r = 0; r < s_; ++r) {
+        double dot = 0.0;
+        double dot_abs = 0.0;
+        for (std::size_t c = 0; c < s_; ++c) {
+          dot += gm[r * s_ + c] * wb[c];
+          dot_abs += gm_abs[r * s_ + c] * std::abs(wb[c]);
+        }
+        prod[r] = dot;
+        prod_abs[r] = dot_abs;
+      }
+    }
+  }
+  // The (a,b) and (b,a) terms agree because Gamma_m is symmetric, so
+  // sweep a <= b with a factor of two off the diagonal.
+  for (std::size_t v = 1; v <= vmax; ++v) {
+    double acc = 0.0;
+    double acc_abs = 0.0;
+    for (std::size_t a = 0; a < v; ++a) {
+      const double* wa = w_.data() + a * n_ * s_ + i * s_;
+      for (std::size_t b = a; a + b < v; ++b) {
+        const std::size_t slot = ((v - 1 - a - b) * vmax + b) * s_;
+        const double* prod = gw + slot;
+        const double* prod_abs = gw_abs + slot;
+        double q = 0.0;
+        double q_abs = 0.0;
+        for (std::size_t r = 0; r < s_; ++r) {
+          q += wa[r] * prod[r];
+          q_abs += std::abs(wa[r]) * prod_abs[r];
+        }
+        const double mult = (a == b) ? 1.0 : 2.0;
+        acc += mult * q;
+        acc_abs += mult * q_abs;
+      }
+    }
+    out[(v - 1) * stride] += acc;
+    out_abs[(v - 1) * stride] += acc_abs;
   }
 }
 

@@ -112,17 +112,27 @@ class BlockMomentProbe {
                         std::vector<double>& out,
                         std::vector<double>& out_abs) const;
 
-  /// Downdated diagonal moments over the *full* index set (rows of the
+  /// Downdated diagonal moments of the listed rows:
+  /// out[(v-1)*rows.size() + j] = (Mhat_t^v)_ii with i = rows[j], for
+  /// v = 1..vmax, given base[(v-1)*n + i] = (Mhat^v)_ii over the full
+  /// index set. Each row's output depends on that row alone. Rows of the
   /// eliminated block land at exactly zero up to accumulated drift — the
-  /// commit path's drift observable): out[(v-1)*n + i] = (Mhat_t^v)_ii
-  /// for v = 1..vmax, given the same layout in `base`. Requires
-  /// vmax <= orders.
-  void downdated_diag(std::span<const double> base,
+  /// commit path's drift observable. Requires vmax <= orders. Cost per
+  /// row: vmax(vmax+1)/2 s x s mat-vecs plus about vmax^3/12 length-s
+  /// dot products.
+  void downdated_diag(std::span<const int> rows,
+                      std::span<const double> base,
                       std::span<const double> base_abs, std::size_t vmax,
                       std::vector<double>& out,
                       std::vector<double>& out_abs) const;
 
  private:
+  // Adds row i's downdate terms to out[(v-1)*stride], v = 1..vmax, and
+  // their |term| sums to out_abs. gw, gw_abs: vmax*vmax*s_ scratch each.
+  void add_row_downdate(std::size_t i, std::size_t vmax, double* gw,
+                        double* gw_abs, double* out, double* out_abs,
+                        std::size_t stride) const;
+
   std::size_t n_ = 0;
   std::size_t s_ = 0;
   std::size_t orders_ = 0;

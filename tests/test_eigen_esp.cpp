@@ -2,23 +2,34 @@
 // symmetric polynomials, and characteristic-polynomial extraction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "dpp/ensemble.h"
+#include "dpp/symmetric_oracle.h"
 #include "linalg/charpoly.h"
 #include "linalg/esp.h"
 #include "linalg/schur.h"
 #include "linalg/factory.h"
 #include "linalg/lu.h"
+#include "linalg/simd.h"
 #include "linalg/symmetric_eigen.h"
 #include "parallel/execution.h"
 #include "parallel/thread_pool.h"
+#include "sampling/batched.h"
+#include "sampling/entropic.h"
 #include "sampling/filtering.h"
+#include "sampling/sequential.h"
 #include "support/combinatorics.h"
+#include "support/failpoint.h"
 #include "support/logsum.h"
 #include "support/random.h"
 
@@ -184,13 +195,14 @@ class BitHash {
   }
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
- private:
   void add_word(std::uint64_t word) {
     for (int b = 0; b < 8; ++b) {
       hash_ ^= (word >> (8 * b)) & 0xffu;
       hash_ *= 0x100000001b3ULL;
     }
   }
+
+ private:
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
@@ -253,14 +265,15 @@ LinalgPins compute_pins(std::size_t n, const ExecutionContext& ctx) {
           fingerprint(samples[0], samples[1], samples[2])};
 }
 
+std::string hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llxULL",
+                static_cast<unsigned long long>(v));
+  return std::string(buf);
+}
+
 void expect_pins(std::size_t n, const LinalgPins& want, const LinalgPins& got,
                  const std::string& where) {
-  const auto hex = [](std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016llxULL",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-  };
   const std::string at = "n=" + std::to_string(n) + " " + where;
   EXPECT_EQ(got.eigen, want.eigen) << at << " eigen " << hex(got.eigen);
   EXPECT_EQ(got.eigenvalues, want.eigenvalues)
@@ -334,6 +347,109 @@ TEST(BitIdentity, LinalgAndFilteringOutputsArePinned) {
       set_linalg_pool(nullptr);
       expect_pins(p.n, p.pins, got, "pool=" + std::to_string(threads));
     }
+  }
+}
+
+// Seeded draws through SymmetricKdppOracle's commit path, each draw's
+// spectral_refreshes folded in after its items. `commit` decides per round
+// between the factor-native finish and a spectral refresh, so a change to
+// its guards' inputs, their order, or the hits on which the
+// symmetric.commit.guard failpoint is consulted moves these fingerprints.
+// The Cholesky and Schur kernels dispatch per SIMD arm, so the arm in
+// effect picks its own constants; pools 1 and 4 must reproduce them.
+
+Matrix t10_rbf_kernel() {
+  RandomStream rng(0x7105);
+  Matrix l = rbf_kernel(random_points(144, 2, rng), 0.25);
+  for (std::size_t i = 0; i < l.rows(); ++i) l(i, i) += 1e-6;
+  return l;
+}
+
+enum class CommitSampler { kBatched, kSequential, kEntropic };
+
+std::uint64_t commit_fingerprint(const SymmetricKdppOracle& oracle,
+                                 CommitSampler sampler,
+                                 const ExecutionContext& ctx,
+                                 std::uint64_t draws) {
+  BitHash h;
+  for (std::uint64_t seed = 1; seed <= draws; ++seed) {
+    RandomStream rng(seed);
+    const SampleResult result =
+        sampler == CommitSampler::kBatched    ? sample_batched(oracle, rng, ctx)
+        : sampler == CommitSampler::kEntropic ? sample_entropic(oracle, rng, ctx)
+                                              : sample_sequential(oracle, rng);
+    h.add(result.items);
+    h.add_word(result.diag.spectral_refreshes);
+  }
+  return h.value();
+}
+
+struct CommitPins {
+  std::uint64_t batched;
+  std::uint64_t sequential;
+  std::uint64_t entropic;
+};
+
+TEST(BitIdentity, SymmetricCommitPathIsPinned) {
+  struct ArmPins {
+    CommitPins t10;
+    CommitPins psd;
+    std::uint64_t guarded;  // batched draws on both kernels, failpoint armed
+  };
+  // Indexed by simd::Path. Draws carry no floating-point output, so the
+  // two arms agree unless roundoff flips a sample or a guard verdict.
+  const ArmPins table[] = {
+      // kScalar
+      {{0xe44a1164a05f42cbULL, 0xa3f8c003db493453ULL, 0x785ca07ac7669027ULL},
+       {0x629c085397a8b9d1ULL, 0x21ee854d42096d22ULL, 0xe79f7b93b01499bdULL},
+       0x6695b671f55c79f2ULL},
+      // kAvx2
+      {{0xe44a1164a05f42cbULL, 0xa3f8c003db493453ULL, 0x785ca07ac7669027ULL},
+       {0x629c085397a8b9d1ULL, 0x21ee854d42096d22ULL, 0xe79f7b93b01499bdULL},
+       0x6695b671f55c79f2ULL},
+  };
+  const ArmPins& want = table[static_cast<int>(simd::active_path())];
+  const std::string arm = simd::path_name();
+  RandomStream setup(0x7106);
+  const SymmetricKdppOracle t10(t10_rbf_kernel(), 36);
+  const SymmetricKdppOracle psd(random_psd(128, 128, setup, 1e-5), 10);
+  // An entropic draw on the t10 kernel costs about a second; one suffices.
+  const auto kernels = {std::tuple{&t10, want.t10, "t10", 1},
+                        std::tuple{&psd, want.psd, "psd", 3}};
+  for (const auto& [oracle, pins, label, entropic_draws] : kernels) {
+    // The sequential sampler takes no pool.
+    const std::uint64_t sequential =
+        commit_fingerprint(*oracle, CommitSampler::kSequential, {}, 3);
+    EXPECT_EQ(sequential, pins.sequential)
+        << arm << " " << label << " sequential " << hex(sequential);
+  }
+  for (const std::size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    const ExecutionContext ctx(&pool, nullptr);
+    const std::string at = arm + " pool=" + std::to_string(threads);
+    for (const auto& [oracle, pins, label, entropic_draws] : kernels) {
+      const std::uint64_t batched =
+          commit_fingerprint(*oracle, CommitSampler::kBatched, ctx, 3);
+      const std::uint64_t entropic = commit_fingerprint(
+          *oracle, CommitSampler::kEntropic, ctx, entropic_draws);
+      EXPECT_EQ(batched, pins.batched)
+          << at << " " << label << " batched " << hex(batched);
+      EXPECT_EQ(entropic, pins.entropic)
+          << at << " " << label << " entropic " << hex(entropic);
+    }
+    // Unscoped probability trigger: hit ordinals count globally from the
+    // arm, and commits run on the calling thread, so the firing pattern
+    // is fixed by the order of consultations alone.
+    ASSERT_EQ(FailpointRegistry::instance().arm_from_spec(
+                  "symmetric.commit.guard=prob:0.3"),
+              1u);
+    BitHash guarded;
+    guarded.add_word(commit_fingerprint(t10, CommitSampler::kBatched, ctx, 3));
+    guarded.add_word(commit_fingerprint(psd, CommitSampler::kBatched, ctx, 3));
+    EXPECT_GT(FailpointRegistry::instance().fires("symmetric.commit.guard"), 0u);
+    FailpointRegistry::instance().disarm("symmetric.commit.guard");
+    EXPECT_EQ(guarded.value(), want.guarded)
+        << at << " guarded " << hex(guarded.value());
   }
 }
 
@@ -487,7 +603,9 @@ TEST(BlockMomentProbe, DowndatedMomentsMatchSchurComplement) {
     std::vector<double> diag;
     std::vector<double> diag_abs;
     probe.downdated_traces(base_traces, base_traces, vmax, traces, traces_abs);
-    probe.downdated_diag(base_diag, base_diag, vmax, diag, diag_abs);
+    std::vector<int> all(n);
+    std::iota(all.begin(), all.end(), 0);
+    probe.downdated_diag(all, base_diag, base_diag, vmax, diag, diag_abs);
     // Reference: moments of the Schur complement, embedded in the full
     // index set (eliminated rows contribute exact zeros).
     const auto keep = complement_indices(n, elim);
@@ -512,6 +630,198 @@ TEST(BlockMomentProbe, DowndatedMomentsMatchSchurComplement) {
         const auto ei = static_cast<std::size_t>(e);
         EXPECT_NEAR(diag[(v - 1) * n + ei], 0.0,
                     1e-10 * std::max(1.0, diag_abs[(v - 1) * n + ei]));
+      }
+    }
+  }
+}
+
+// Test-local copy of the probe's build (same arithmetic, so the same
+// bits) and of the per-(a, m, b) triple loop downdated_diag ran before it
+// formed each Gamma_m w_b[i] once per row.
+struct ReferenceDiagDowndate {
+  std::size_t n;
+  std::size_t s;
+  std::vector<double> w;
+  std::vector<double> g;
+  std::vector<double> g_abs;
+
+  ReferenceDiagDowndate(const Matrix& m, double scale,
+                        std::span<const int> elim,
+                        const IncrementalCholesky& chol, std::size_t orders)
+      : n(m.rows()),
+        s(elim.size()),
+        w(orders * n * s, 0.0),
+        g(orders * s * s, 0.0),
+        g_abs(orders * s * s, 0.0) {
+    std::vector<double> t(orders * s * s, 0.0);
+    std::vector<double> rows(s * n);
+    for (std::size_t r = 0; r < s; ++r)
+      for (std::size_t j = 0; j < n; ++j)
+        rows[r * n + j] = m(static_cast<std::size_t>(elim[r]), j);
+    chol.forward_solve_rows(rows.data(), n, n);
+    const double inv_sqrt_scale = 1.0 / std::sqrt(scale);
+    for (std::size_t r = 0; r < s; ++r)
+      for (std::size_t i = 0; i < n; ++i)
+        w[i * s + r] = rows[r * n + i] * inv_sqrt_scale;
+    const double inv_scale = 1.0 / scale;
+    for (std::size_t a = 0; a + 1 < orders; ++a) {
+      for (std::size_t i = 0; i < n; ++i) {
+        double* out_row = w.data() + (a + 1) * n * s + i * s;
+        for (std::size_t j = 0; j < n; ++j) {
+          const double coeff = m(i, j) * inv_scale;
+          if (coeff == 0.0) continue;
+          const double* in_row = w.data() + a * n * s + j * s;
+          for (std::size_t c = 0; c < s; ++c) out_row[c] += coeff * in_row[c];
+        }
+      }
+    }
+    for (std::size_t v = 0; v < orders; ++v) {
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t r = 0; r < s; ++r) {
+          const double ur = w[i * s + r];
+          if (ur == 0.0) continue;
+          for (std::size_t c = 0; c < s; ++c)
+            t[v * s * s + r * s + c] += ur * w[v * n * s + i * s + c];
+        }
+      }
+    }
+    for (std::size_t r = 0; r < s; ++r) {
+      g[r * s + r] = -1.0;
+      g_abs[r * s + r] = 1.0;
+    }
+    for (std::size_t mo = 1; mo < orders; ++mo) {
+      double* gm = g.data() + mo * s * s;
+      double* gm_abs = g_abs.data() + mo * s * s;
+      for (std::size_t v = 0; v < mo; ++v) {
+        const double* gprev = g.data() + (mo - 1 - v) * s * s;
+        const double* gprev_abs = g_abs.data() + (mo - 1 - v) * s * s;
+        const double* tv = t.data() + v * s * s;
+        for (std::size_t r = 0; r < s; ++r) {
+          for (std::size_t p = 0; p < s; ++p) {
+            for (std::size_t c = 0; c < s; ++c) {
+              gm[r * s + c] -= gprev[r * s + p] * tv[p * s + c];
+              gm_abs[r * s + c] += gprev_abs[r * s + p] * std::abs(tv[p * s + c]);
+            }
+          }
+        }
+      }
+      for (std::size_t r = 0; r < s; ++r) {
+        for (std::size_t c = r + 1; c < s; ++c) {
+          const double sym = 0.5 * (gm[r * s + c] + gm[c * s + r]);
+          gm[r * s + c] = gm[c * s + r] = sym;
+          const double sym_abs = 0.5 * (gm_abs[r * s + c] + gm_abs[c * s + r]);
+          gm_abs[r * s + c] = gm_abs[c * s + r] = sym_abs;
+        }
+      }
+    }
+  }
+
+  void diag(const std::vector<double>& base,
+            const std::vector<double>& base_abs, std::size_t vmax,
+            std::vector<double>& out, std::vector<double>& out_abs) const {
+    out.assign(base.begin(), base.begin() + static_cast<std::ptrdiff_t>(vmax * n));
+    out_abs.assign(base_abs.begin(),
+                   base_abs.begin() + static_cast<std::ptrdiff_t>(vmax * n));
+    std::vector<double> gw(s), gw_abs(s);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t v = 1; v <= vmax; ++v) {
+        double acc = 0.0;
+        double acc_abs = 0.0;
+        for (std::size_t a = 0; a < v; ++a) {
+          const double* wa = w.data() + a * n * s + i * s;
+          for (std::size_t b = a; a + b < v; ++b) {
+            const std::size_t mo = v - 1 - a - b;
+            const double* gm = g.data() + mo * s * s;
+            const double* gm_abs = g_abs.data() + mo * s * s;
+            const double* wb = w.data() + b * n * s + i * s;
+            for (std::size_t r = 0; r < s; ++r) {
+              double dot = 0.0;
+              double dot_abs = 0.0;
+              for (std::size_t c = 0; c < s; ++c) {
+                dot += gm[r * s + c] * wb[c];
+                dot_abs += gm_abs[r * s + c] * std::abs(wb[c]);
+              }
+              gw[r] = dot;
+              gw_abs[r] = dot_abs;
+            }
+            double q = 0.0;
+            double q_abs = 0.0;
+            for (std::size_t r = 0; r < s; ++r) {
+              q += wa[r] * gw[r];
+              q_abs += std::abs(wa[r]) * gw_abs[r];
+            }
+            const double mult = (a == b) ? 1.0 : 2.0;
+            acc += mult * q;
+            acc_abs += mult * q_abs;
+          }
+        }
+        out[(v - 1) * n + i] += acc;
+        out_abs[(v - 1) * n + i] += acc_abs;
+      }
+    }
+  }
+};
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(double));
+  return out;
+}
+
+TEST(BlockMomentProbe, DiagRowsMatchReferenceBitwise) {
+  RandomStream rng(0xd1a6);
+  constexpr std::size_t orders = 12;
+  for (const std::size_t n : {8, 33, 144}) {
+    const Matrix m = random_psd(n, n, rng, 1e-3);
+    double scale = 0.0;
+    for (std::size_t i = 0; i < n; ++i) scale = std::max(scale, m(i, i));
+    std::vector<int> all(n);
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<double> base(orders * n);
+    std::vector<double> base_abs(orders * n);
+    for (std::size_t j = 0; j < base.size(); ++j) {
+      base[j] = rng.uniform(-1.0, 1.0);
+      base_abs[j] = std::abs(base[j]) + rng.uniform();
+    }
+    for (const std::size_t s : {1, 2, 3, 6}) {
+      // 7 is coprime to every n above, so these s indices are distinct.
+      std::vector<int> elim(s);
+      for (std::size_t r = 0; r < s; ++r)
+        elim[r] = static_cast<int>((7 * r + 3) % n);
+      IncrementalCholesky chol(s);
+      std::vector<double> row;
+      for (std::size_t r = 0; r < s; ++r) {
+        row.resize(r + 1);
+        for (std::size_t c = 0; c <= r; ++c)
+          row[c] = m(static_cast<std::size_t>(elim[r]),
+                     static_cast<std::size_t>(elim[c]));
+        ASSERT_TRUE(chol.append(row));
+      }
+      BlockMomentProbe probe;
+      probe.build(m, scale, elim, chol, orders);
+      const ReferenceDiagDowndate reference(m, scale, elim, chol, orders);
+      for (const std::size_t vmax : {std::size_t{1}, std::size_t{2}, orders}) {
+        const std::string at = "n=" + std::to_string(n) +
+                               " s=" + std::to_string(s) +
+                               " vmax=" + std::to_string(vmax);
+        std::vector<double> got, got_abs, want, want_abs;
+        probe.downdated_diag(all, base, base_abs, vmax, got, got_abs);
+        reference.diag(base, base_abs, vmax, want, want_abs);
+        EXPECT_EQ(bits_of(got), bits_of(want)) << at;
+        EXPECT_EQ(bits_of(got_abs), bits_of(want_abs)) << at;
+        // The commit path's drift check: the eliminated rows at v <= 2.
+        const std::size_t vcheck = std::min<std::size_t>(2, vmax);
+        std::vector<double> sub, sub_abs;
+        probe.downdated_diag(elim, base, base_abs, vcheck, sub, sub_abs);
+        ASSERT_EQ(sub.size(), vcheck * s) << at;
+        for (std::size_t v = 0; v < vcheck; ++v) {
+          for (std::size_t j = 0; j < s; ++j) {
+            const auto i = static_cast<std::size_t>(elim[j]);
+            EXPECT_EQ(bits_of({sub[v * s + j], sub_abs[v * s + j]}),
+                      bits_of({got[v * n + i], got_abs[v * n + i]}))
+                << at << " v=" << v + 1 << " row " << i;
+          }
+        }
       }
     }
   }
