@@ -86,9 +86,9 @@ ChiSquare chi_square_pooled(const std::vector<double>& expected,
 
 // Pearson chi-square of distilled samples against enumeration (cells
 // with expected count < 5 pooled, mirroring tests/test_util.h), plus the
-// pool-size / reference bit-identity sweep, for the per-draw-pool or the
-// persistent-proposal mode. Returns regression = law or identity failure.
-bool exactness_block(JsonSeries& json, bool persistent) {
+// pool-size / reference bit-identity sweep. Returns regression = law or
+// identity failure.
+bool exactness_block(JsonSeries& json) {
   const std::size_t n = 12;
   const std::size_t d = 4;
   const std::size_t k = 3;
@@ -100,10 +100,6 @@ bool exactness_block(JsonSeries& json, bool persistent) {
 
   SessionOptions options;
   options.distill.enabled = true;
-  options.distill.persistent_proposal = persistent;
-  // A small forced domain keeps both alias and tail levels on the
-  // measured path at enumeration scale.
-  if (persistent) options.distill.sparsified_domain = 4;
   SessionOptions reference_options = options;
   reference_options.use_commit = false;
   SamplerSession session(oracle, options);
@@ -142,17 +138,16 @@ bool exactness_block(JsonSeries& json, bool persistent) {
     expected[i] = std::exp(log_masses[i] - log_z) * static_cast<double>(trials);
   const ChiSquare chi = chi_square_pooled(expected, counts);
 
-  const char* mode = persistent ? "persistent" : "perdraw";
-  Table table({"mode", "n", "d", "k", "trials", "chi2", "dof", "threshold",
+  Table table({"n", "d", "k", "trials", "chi2", "dof", "threshold",
                "law_ok", "identical"});
-  table.add_row({mode, fmt_int(n), fmt_int(d), fmt_int(k), fmt_int(trials),
+  table.add_row({fmt_int(n), fmt_int(d), fmt_int(k), fmt_int(trials),
                  fmt(chi.statistic, 1), fmt(chi.dof, 0),
                  fmt(chi.threshold, 1), chi.ok ? "yes" : "NO",
                  identical ? "yes" : "NO"});
   table.print();
   json.add_record(
       {JsonSeries::text("experiment", "largescale_exactness"),
-       JsonSeries::text("mode", mode), JsonSeries::number("n", n),
+       JsonSeries::number("n", n),
        JsonSeries::number("d", d), JsonSeries::number("k", k),
        JsonSeries::number("trials", trials),
        JsonSeries::number("chi_square", chi.statistic, 2),
@@ -255,176 +250,6 @@ ScalePoint measure_scale(std::size_t n, std::size_t d, std::size_t k,
   return point;
 }
 
-// ---- EXP-SS: steady-state draws with the persistent proposal ----
-
-struct SteadyPoint {
-  double prime_ms = 0.0;
-  double steady_draw_ms = 0.0;
-  double accept_rate = 1.0;
-  double p_domain = 1.0;
-  double tail_rate = 0.0;
-  std::uint64_t heavy_tail_pools = 0;
-  std::uint64_t refreshes = 0;
-  bool identical = true;
-};
-
-SteadyPoint measure_steady(const FeatureKdppOracle& oracle, bool persistent,
-                           std::uint64_t seed) {
-  SteadyPoint point;
-  SessionOptions options;
-  options.distill.enabled = true;
-  options.distill.persistent_proposal = persistent;
-  Timer prime_timer;
-  SamplerSession session(oracle, options);
-  point.prime_ms = prime_timer.millis();
-
-  const std::size_t draws = 64;
-  std::vector<std::vector<int>> reference_items;
-  {
-    RandomStream rng(seed);  // untimed warmup
-    (void)session.draw_many(draws, rng, ExecutionContext::serial());
-  }
-  std::size_t proposals = 0;
-  std::size_t accepted = 0;
-  for (int pass = 0; pass < 3; ++pass) {
-    RandomStream rng(seed);
-    Timer timer;
-    auto results = session.draw_many(draws, rng, ExecutionContext::serial());
-    const double ms = timer.millis() / static_cast<double>(draws);
-    if (pass == 0 || ms < point.steady_draw_ms) point.steady_draw_ms = ms;
-    if (pass == 0) {
-      for (const auto& r : results) {
-        proposals += r.diag.proposals;
-        accepted += r.diag.accepted_batches;
-      }
-      reference_items = items_of(std::move(results));
-    }
-  }
-  point.accept_rate = proposals == 0
-                          ? 1.0
-                          : static_cast<double>(accepted) /
-                                static_cast<double>(proposals);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    ThreadPool pool(threads);
-    const ExecutionContext ctx(&pool, nullptr);
-    RandomStream rng(seed);
-    point.identical =
-        point.identical &&
-        items_of(session.draw_many(draws, rng, ctx)) == reference_items;
-  }
-
-  const DistillationPlan* plan = session.distillation_plan();
-  if (persistent && plan != nullptr) {
-    point.p_domain = plan->domain_mass_fraction();
-    const auto stats = plan->proposal_stats();
-    point.heavy_tail_pools = stats.heavy_tail_pools;
-    point.refreshes = stats.refreshes;
-    const double candidates = static_cast<double>(stats.pools) *
-                              static_cast<double>(plan->candidate_budget());
-    point.tail_rate = candidates == 0.0
-                          ? 0.0
-                          : static_cast<double>(stats.tail_candidates) /
-                                candidates;
-  }
-  return point;
-}
-
-// Amortized steady-state draws at n = 10^6 with and without the
-// persistent sparsified proposal, on two leverage profiles:
-//
-//  - "spiked": ~k·polylog heavy rows (unit scale) scattered uniformly
-//    across [n] among 10^6 light rows (scale 0.01, relative weight
-//    1e-4) — the leverage-concentrated regime the sparsification
-//    targets. The per-draw baseline's inverse-CDF probes converge to
-//    ~3200 positions scattered over the 8 MB cumulative table; the
-//    persistent alias answers ~97% of candidates from a ~50 KB table.
-//    This speedup is the gated claim.
-//  - "flat": uniform gaussian rows, domain mass ~0.3%, nearly every
-//    candidate falls back to the full-n tail path — reported honestly
-//    as the regime boundary, informational only. (A prefix-zipf profile
-//    is similarly no-win for the opposite reason: with the mass in a
-//    contiguous prefix the baseline's probe path is already
-//    cache-resident.)
-bool steady_state_block(JsonSeries& json) {
-  const std::size_t n = 1000000;
-  const std::size_t d = 24;
-  const std::size_t k = 8;
-  bool regression = false;
-  Table table({"profile", "mode", "prime_ms", "steady_draw_ms", "accept",
-               "p_domain", "tail_rate", "speedup", "identical"});
-  for (const bool spiked : {true, false}) {
-    RandomStream setup(903001);
-    Matrix features = random_gaussian(n, d, setup);
-    if (spiked) {
-      // Every 312th row keeps unit scale (~3205 heavy rows, matching
-      // the auto domain size k·ceil(log2 n)² = 3200); the rest shrink
-      // to 0.01 (relative weight 1e-4, total tail mass ~3% of tau).
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i % 312 == 0) continue;
-        for (std::size_t c = 0; c < d; ++c) features(i, c) *= 0.01;
-      }
-    }
-    const FeatureKdppOracle oracle(std::move(features), k);
-    const char* profile = spiked ? "spiked" : "flat";
-
-    const SteadyPoint baseline = measure_steady(oracle, false, 903100);
-    const SteadyPoint persistent = measure_steady(oracle, true, 903100);
-    const double speedup = baseline.steady_draw_ms /
-                           persistent.steady_draw_ms;
-    // The tentpole claim, gated on the regime it targets: persistent
-    // steady-state draws on the spiked profile measurably faster than
-    // the per-draw-pool baseline (gate ~20% below the measured value,
-    // repo convention).
-    const bool speedup_ok = !spiked || speedup >= 1.05;
-    regression = regression || !baseline.identical ||
-                 !persistent.identical || !speedup_ok;
-
-    table.add_row({profile, "perdraw", fmt(baseline.prime_ms, 1),
-                   fmt(baseline.steady_draw_ms, 3),
-                   fmt(baseline.accept_rate, 2), "-", "-", "1.0x",
-                   baseline.identical ? "yes" : "NO"});
-    table.add_row({profile, "persistent", fmt(persistent.prime_ms, 1),
-                   fmt(persistent.steady_draw_ms, 3),
-                   fmt(persistent.accept_rate, 2),
-                   fmt(persistent.p_domain, 3),
-                   fmt(persistent.tail_rate, 3), fmt(speedup, 2) + "x",
-                   persistent.identical ? "yes" : "NO"});
-    json.add_record(
-        {JsonSeries::text("experiment", "steadystate_distill"),
-         JsonSeries::text("family", "feature"),
-         JsonSeries::text("profile", profile),
-         JsonSeries::text("mode", "perdraw"), JsonSeries::number("n", n),
-         JsonSeries::number("d", d), JsonSeries::number("k", k),
-         JsonSeries::number("prime_ms", baseline.prime_ms, 3),
-         JsonSeries::number("steady_draw_ms", baseline.steady_draw_ms, 4),
-         JsonSeries::number("accept_rate", baseline.accept_rate, 3),
-         JsonSeries::text("identical", baseline.identical ? "yes" : "no"),
-         JsonSeries::boolean("regression", !baseline.identical)});
-    json.add_record(
-        {JsonSeries::text("experiment", "steadystate_distill"),
-         JsonSeries::text("family", "feature"),
-         JsonSeries::text("profile", profile),
-         JsonSeries::text("mode", "persistent"), JsonSeries::number("n", n),
-         JsonSeries::number("d", d), JsonSeries::number("k", k),
-         JsonSeries::number("prime_ms", persistent.prime_ms, 3),
-         JsonSeries::number("steady_draw_ms", persistent.steady_draw_ms, 4),
-         JsonSeries::number("accept_rate", persistent.accept_rate, 3),
-         JsonSeries::number("p_domain", persistent.p_domain, 4),
-         JsonSeries::number("tail_rate", persistent.tail_rate, 4),
-         JsonSeries::number("heavy_tail_pools",
-                            static_cast<double>(persistent.heavy_tail_pools),
-                            0),
-         JsonSeries::number("refreshes",
-                            static_cast<double>(persistent.refreshes), 0),
-         JsonSeries::number("speedup_vs_perdraw", speedup, 2),
-         JsonSeries::text("identical", persistent.identical ? "yes" : "no"),
-         JsonSeries::boolean("regression",
-                             !persistent.identical || !speedup_ok)});
-  }
-  table.print();
-  return regression;
-}
-
 // Spanning trees through the session layer: uniform-tree law on the 2x3
 // grid against enumeration (chi-square + exact marginals vs the
 // transfer-current diagonal), and amortized draw throughput on an 8x8
@@ -525,9 +350,7 @@ int main() {
   JsonSeries json;
 
   std::printf("\n-- exactness at enumeration scale --\n");
-  bool any_regression = exactness_block(json, /*persistent=*/false);
-  any_regression = exactness_block(json, /*persistent=*/true) ||
-                   any_regression;
+  bool any_regression = exactness_block(json);
 
   const std::size_t d = 24;
   const std::size_t k = 8;
@@ -569,15 +392,12 @@ int main() {
   }
   table.print();
 
-  std::printf("\n-- EXP-SS: steady-state draws at n = 10^6 --\n");
-  any_regression = steady_state_block(json) || any_regression;
-
-  std::printf("\n-- EXP-SS: spanning trees via transfer currents --\n");
+  std::printf("\n-- spanning trees via transfer currents --\n");
   any_regression = spanning_tree_block(json) || any_regression;
 
   if (any_regression)
     std::printf("\n! REGRESSION: distilled law, pool-size identity, or "
-                "steady-state speedup gate failed\n");
+                "spanning-tree law gate failed\n");
   json.write(bench_out_path("BENCH_largescale.json"));
   return 0;
 }

@@ -205,9 +205,6 @@ int main() {
                             static_cast<std::size_t>(stats.max_coalesced)),
          JsonSeries::number("queue_peak", stats.queue_peak),
          JsonSeries::number("sessions", stats.registry.sessions),
-         JsonSeries::number(
-             "poisoned_replacements",
-             static_cast<std::size_t>(stats.registry.poisoned_replacements)),
          JsonSeries::text("identical", identical ? "yes" : "no"),
          JsonSeries::boolean("regression", regression)});
   }

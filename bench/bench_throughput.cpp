@@ -158,8 +158,7 @@ void run_config(const CountingOracle& oracle, const ThroughputConfig& config,
          // PARDPP_FAILPOINTS schedule was armed under the bench).
          JsonSeries::number("retries", commit_session.health().retries),
          JsonSeries::number("degraded_draws",
-                            commit_session.health().degraded_proposal +
-                                commit_session.health().degraded_undistilled +
+                            commit_session.health().degraded_undistilled +
                                 commit_session.health().degraded_reference),
          JsonSeries::number("guard_failures",
                             commit_session.health().failures),

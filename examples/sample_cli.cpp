@@ -259,8 +259,6 @@ std::string serve_stats_body(serving::SamplingServer& server) {
   line("registry.hits", stats.registry.hits);
   line("registry.misses", stats.registry.misses);
   line("registry.evictions", stats.registry.evictions);
-  line("registry.poisoned_replacements",
-       stats.registry.poisoned_replacements);
   for (const auto& [fingerprint, session] : server.registry().snapshot()) {
     const std::string prefix = "session." + fingerprint.to_string() + ".";
     const SessionHealth health = session->session().health();
@@ -270,8 +268,6 @@ std::string serve_stats_body(serving::SamplingServer& server) {
     line(prefix + "retries", health.retries);
     line(prefix + "spectral_refreshes", health.spectral_refreshes);
     line(prefix + "starvations", health.starvations);
-    line(prefix + "proposal_drifts", health.proposal_drifts);
-    line(prefix + "poisoned", health.poisoned ? 1 : 0);
     const auto guards = session->guard_event_counts();
     for (std::size_t kind = 0; kind < guards.size(); ++kind) {
       if (guards[kind] == 0) continue;
@@ -451,9 +447,8 @@ int main(int argc, char** argv) {
     // diagnostics payload worth surfacing.
     std::fprintf(stderr,
                  "pardpp starvation: %s\n"
-                 "  attempts=%zu duplicate_rejects=%zu tail_candidates=%zu\n",
-                 e.what(), e.diag.proposals, e.diag.duplicate_rejects,
-                 e.diag.tail_candidates);
+                 "  attempts=%zu duplicate_rejects=%zu\n",
+                 e.what(), e.diag.proposals, e.diag.duplicate_rejects);
     return 6;
   } catch (const SamplingFailure& e) {
     std::fprintf(stderr, "pardpp sampling failure: %s\n", e.what());

@@ -40,7 +40,6 @@ TIME_FIELDS = (
     "wall_ms",
     "scalar_ms",
     "draw_ms",
-    "steady_draw_ms",
     "prime_ms",
     "full_draw_ms",
     "full_prime_ms",
@@ -65,12 +64,7 @@ NON_IDENTITY_FIELDS = set(TIME_FIELDS) | set(HOST_FIELDS) | {
     "speedup",
     "speedup_vs_condition",
     "draw_speedup_vs_full",
-    "speedup_vs_perdraw",
     "draws_per_sec",
-    "p_domain",
-    "tail_rate",
-    "heavy_tail_pools",
-    "refreshes",
     "law_ok",
     "accept_rate",
     "chi_square",
@@ -102,7 +96,6 @@ NON_IDENTITY_FIELDS = set(TIME_FIELDS) | set(HOST_FIELDS) | {
     "max_coalesced",
     "queue_peak",
     "sessions",
-    "poisoned_replacements",
 }
 
 

@@ -8,14 +8,11 @@ per-seed determinism. Three daemon instances:
  1. The happy path: sample draws (deterministic per seed, registry hit
     on the second request), a stats snapshot, a malformed verb (status
     1), an invalid request (status 3) — then a clean shutdown, exit 0.
- 2. The poisoning path: a scoped `distill.revalidate` failpoint forces
-    proposal drift on every draw of a persistent-proposal session. Each
-    request must fail with status 4 (ProposalDriftError, a
-    NumericalError) and NEVER status 2 (SessionPoisoned) — the registry
-    must evict the poisoned session and build a replacement rather than
-    hand the poisoned one to the next client. Verified via the stats
-    surface: session epoch strictly increases, poisoned_replacements
-    counts the swap.
+ 2. The typed-failure path: a scoped `symmetric.commit.pivot` failpoint
+    fails every commit-path draw. Each request must fail with status 4
+    (NumericalError) and never status 2 (an untyped internal error), and
+    the failure must leave the session reusable: the second request
+    runs on the same session (epoch unchanged, one registry miss).
  3. The framing-error path: an oversize declared length is
     unrecoverable — the daemon answers status 1 and exits 2.
 
@@ -103,24 +100,6 @@ def kernel_request(seed, count):
     )
 
 
-def feature_request(seed):
-    # 16x3 feature rows (deterministic, full-rank), persistent-proposal
-    # distillation config — the only config that can be poisoned.
-    rows = []
-    for i in range(16):
-        rows.append(
-            ",".join(str(((7 * i + 3 * j) % 11) - 5 + (1 if i == j else 0))
-                     for j in range(3))
-        )
-    return (
-        "sample\n"
-        f"seed={seed}\ncount=1\nk=3\nkind=features\n"
-        "config=distill.enabled=1,distill.persistent_proposal=1,"
-        "distill.refresh_interval=1\n"
-        "matrix=" + ";".join(rows) + "\n"
-    )
-
-
 def phase_happy_path(binary):
     daemon = Daemon(binary)
     status, body = daemon.request(kernel_request(seed=11, count=3))
@@ -142,7 +121,6 @@ def phase_happy_path(binary):
     assert stats["registry.sessions"] == "1", stats
     assert stats["registry.misses"] == "1", stats
     assert stats["registry.hits"] == "1", stats
-    assert session_field(stats, "poisoned") == 0, stats
 
     status, body = daemon.request("bogus-verb\n")
     assert status == 1, (status, body)
@@ -158,38 +136,33 @@ def phase_happy_path(binary):
     print("phase 1 (happy path + taxonomy): ok")
 
 
-def phase_poisoned_replacement(binary):
-    # Scoped so only draws (inside a FailpointScope) drift — session
-    # construction stays clean, letting the replacement build succeed.
+def phase_typed_failure(binary):
+    # Scoped so only draws (inside a FailpointScope) fail — session
+    # construction and priming stay clean.
     daemon = Daemon(
         binary,
-        env={"PARDPP_FAILPOINTS": "distill.revalidate=scoped,prob:1,seed:424242"},
+        env={"PARDPP_FAILPOINTS": "symmetric.commit.pivot=scoped,prob:1"},
     )
-    status, body = daemon.request(feature_request(seed=5))
-    assert status == 4, (status, body)  # ProposalDriftError, typed
-    status, body = daemon.request("stats\n")
-    assert status == 0, (status, body)
-    stats = parse_kv(body)
-    assert session_field(stats, "poisoned") == 1, stats
-    first_epoch = session_field(stats, "epoch")
-
-    # Second request: the registry must replace the poisoned session and
-    # run the draw on the fresh one (which drifts again -> status 4).
-    # Status 2 here would mean SessionPoisoned reached a client.
-    status, body = daemon.request(feature_request(seed=6))
-    assert status == 4, (
-        f"poisoned session leaked to a client: status {status}: {body}"
-    )
-    status, body = daemon.request("stats\n")
-    stats = parse_kv(body)
-    assert stats["registry.poisoned_replacements"] == "1", stats
+    epochs = []
+    for seed in (5, 6):
+        status, body = daemon.request(kernel_request(seed=seed, count=1))
+        assert status == 4, (
+            f"expected a typed NumericalError (status 4), got {status}: {body}"
+        )
+        status, body = daemon.request("stats\n")
+        assert status == 0, (status, body)
+        stats = parse_kv(body)
+        epochs.append(session_field(stats, "epoch"))
+    assert epochs[0] == epochs[1], f"failed draw rebuilt the session: {epochs}"
+    assert stats["registry.misses"] == "1", stats
+    assert stats["registry.hits"] == "1", stats
     assert stats["registry.sessions"] == "1", stats
-    assert session_field(stats, "epoch") > first_epoch, stats
+    assert session_field(stats, "failures") == 2, stats
 
     status, body = daemon.request("shutdown\n")
     assert status == 0, (status, body)
     assert daemon.close() == 0
-    print("phase 2 (poisoned session evicted and replaced): ok")
+    print("phase 2 (typed failure, session reused): ok")
 
 
 def phase_framing_error(binary):
@@ -212,7 +185,7 @@ def main():
     if hasattr(signal, "alarm"):
         signal.alarm(300)  # fail loudly rather than hang CI
     phase_happy_path(binary)
-    phase_poisoned_replacement(binary)
+    phase_typed_failure(binary)
     phase_framing_error(binary)
     print("serve smoke: all phases ok")
     return 0

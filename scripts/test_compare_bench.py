@@ -207,59 +207,6 @@ class CompareBenchTest(unittest.TestCase):
         )
         self.assertEqual(self.compare(exploded, other_cpus), 0)
 
-    def test_steady_state_records_round_trip_and_gate(self):
-        # EXP-SS records measure `steady_draw_ms` and carry per-plan
-        # proposal stats (p_domain, tail_rate, refreshes, ...) that vary
-        # run to run: the stats must not be identity (a changed refresh
-        # count must not orphan the pair), while profile/mode must be
-        # (the persistent and per-draw rows are distinct series), and
-        # the steady timing must survive the snapshot round trip and
-        # gate a same-host slowdown.
-        def steady(ms, host, **stats):
-            entry = {
-                "experiment": "steadystate_distill",
-                "family": "feature",
-                "profile": "spiked",
-                "mode": "persistent",
-                "n": 1000000,
-                "steady_draw_ms": ms,
-            }
-            entry.update(stats)
-            entry.update(host)
-            return entry
-
-        bench_dir = self.write_dir(
-            "out",
-            [steady(0.5, HOST_A, p_domain=0.97, tail_rate=0.03,
-                    heavy_tail_pools=4, refreshes=7,
-                    speedup_vs_perdraw=1.2)],
-        )
-        snapshot = os.path.join(self.tmp, "BENCH_trajectory.json")
-        self.assertEqual(compare_bench.write_snapshot(snapshot, bench_dir), 0)
-        with open(snapshot) as handle:
-            (entry,) = json.load(handle)
-        self.assertEqual(entry["steady_draw_ms"], 0.5)
-        self.assertEqual(entry["mode"], "persistent")
-        self.assertNotIn("refreshes", entry)  # stat, not identity/timing
-        exploded = compare_bench.snapshot_as_baseline(
-            snapshot, os.path.join(self.tmp, "exploded")
-        )
-        # Different stats, same identity: still matched, and the 2x
-        # steady-state slowdown gates.
-        slower = self.write_dir(
-            "slower",
-            [steady(1.0, HOST_A, p_domain=0.90, tail_rate=0.10,
-                    heavy_tail_pools=900, refreshes=901,
-                    speedup_vs_perdraw=0.6)],
-        )
-        self.assertEqual(self.compare(exploded, slower), 1)
-        # A different proposal mode is a new series, not a regression.
-        perdraw = self.write_dir(
-            "perdraw",
-            [dict(steady(1.0, HOST_A), mode="perdraw")],
-        )
-        self.assertEqual(self.compare(exploded, perdraw), 0)
-
     def test_snapshot_round_trip_preserves_host_fields(self):
         bench_dir = self.write_dir("out", [record(100.0, HOST_A)])
         snapshot = os.path.join(self.tmp, "BENCH_trajectory.json")
@@ -306,7 +253,7 @@ class CompareBenchTest(unittest.TestCase):
             "out",
             [serving(30.0, 200.0, HOST_A, batches=4, coalesced_per_batch=4.0,
                      max_coalesced=7, queue_peak=12, sessions=1,
-                     poisoned_replacements=0, speedup_vs_persession=6.6,
+                     speedup_vs_persession=6.6,
                      persession_draws_per_sec=80.0)],
         )
         snapshot = os.path.join(self.tmp, "BENCH_trajectory.json")
@@ -323,7 +270,7 @@ class CompareBenchTest(unittest.TestCase):
             "reshaped",
             [serving(31.0, 201.0, HOST_A, batches=16, coalesced_per_batch=1.0,
                      max_coalesced=1, queue_peak=1, sessions=1,
-                     poisoned_replacements=0, speedup_vs_persession=6.5,
+                     speedup_vs_persession=6.5,
                      persession_draws_per_sec=79.0)],
         )
         self.assertEqual(self.compare(exploded, reshaped), 0)

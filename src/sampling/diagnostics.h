@@ -16,19 +16,16 @@ namespace pardpp {
 enum class GuardEventKind {
   kDrawFailure,         ///< an attempt threw a typed error (detail = what())
   kRetry,               ///< re-attempting on the same ladder rung
-  kDegradeProposal,     ///< ladder: persistent → per-draw proposal
   kDegradeUndistilled,  ///< ladder: distilled → full-n path
   kDegradeReference,    ///< ladder: commit → condition() reference
   kSpectralRefresh,     ///< a draw paid eigensolve fallbacks (detail = count)
   kStarvation,          ///< DistillationStarvation surfaced
-  kProposalDrift,       ///< ProposalDriftError surfaced
-  kPoisoned,            ///< the session poisoned itself (detail = reason)
 };
 
 /// Number of GuardEventKind values — sizes per-kind counter arrays (the
 /// serving layer's stats surface). Keep in sync with the enum.
 inline constexpr std::size_t kGuardEventKindCount =
-    static_cast<std::size_t>(GuardEventKind::kPoisoned) + 1;
+    static_cast<std::size_t>(GuardEventKind::kStarvation) + 1;
 
 [[nodiscard]] constexpr const char* guard_event_kind_name(
     GuardEventKind kind) noexcept {
@@ -37,8 +34,6 @@ inline constexpr std::size_t kGuardEventKindCount =
       return "draw_failure";
     case GuardEventKind::kRetry:
       return "retry";
-    case GuardEventKind::kDegradeProposal:
-      return "degrade_proposal";
     case GuardEventKind::kDegradeUndistilled:
       return "degrade_undistilled";
     case GuardEventKind::kDegradeReference:
@@ -47,10 +42,6 @@ inline constexpr std::size_t kGuardEventKindCount =
       return "spectral_refresh";
     case GuardEventKind::kStarvation:
       return "starvation";
-    case GuardEventKind::kProposalDrift:
-      return "proposal_drift";
-    case GuardEventKind::kPoisoned:
-      return "poisoned";
   }
   return "unknown";
 }
@@ -86,20 +77,13 @@ struct SampleDiagnostics {
                                       ///< paid during this draw (0 on the
                                       ///< factor-native fast path and on
                                       ///< the condition() reference)
-  std::size_t tail_candidates = 0;    ///< persistent-proposal candidates that
-                                      ///< fell back to the exact full-n
-                                      ///< inverse-CDF tail path (0 when the
-                                      ///< mode is off)
-  std::size_t heavy_tail_pools = 0;   ///< persistent-proposal pools whose
-                                      ///< tail count exceeded the budget and
-                                      ///< triggered a domain re-validation
   std::size_t recovery_retries = 0;   ///< extra attempts the session's
                                       ///< recovery ladder spent on this draw
                                       ///< (0 = first attempt succeeded)
   std::size_t degradation_level = 0;  ///< ladder rung that produced this
                                       ///< draw: 0 configured path, 1
-                                      ///< per-draw proposal, 2 undistilled,
-                                      ///< 3 condition() reference
+                                      ///< undistilled, 2 condition()
+                                      ///< reference
   PramStats pram;                     ///< PRAM depth/work/machines ledger
 
   /// Overall acceptance frequency of the rejection stages.

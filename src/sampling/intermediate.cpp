@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "support/combinatorics.h"
 #include "support/failpoint.h"
-#include "support/logsum.h"
 
 namespace pardpp {
 
@@ -21,20 +19,6 @@ void DistillOptions::validate(std::size_t k) const {
                   std::to_string(candidate_budget) +
                   " cannot seat a sample of size " + std::to_string(k) +
                   " (every pool would starve)");
-  }
-  if (sparsified_domain != 0) {
-    check_arg(persistent_proposal,
-              "DistillOptions::sparsified_domain: set without "
-              "persistent_proposal — the domain size only shapes the "
-              "persistent sparsified proposal and would be silently "
-              "ignored");
-    if (k != 0) {
-      check_arg(sparsified_domain >= k,
-                "DistillOptions::sparsified_domain: " +
-                    std::to_string(sparsified_domain) +
-                    " is below the sample size " + std::to_string(k) +
-                    " (the alias domain could never cover a sample)");
-    }
   }
 }
 
@@ -80,111 +64,14 @@ DistillationPlan::DistillationPlan(const CountingOracle& base,
   // at the uniform spectrum). r < k means no restriction can carry mass;
   // the base constructor checks already exclude that, but keep log M
   // finite so the failure mode is max_attempts, not NaN.
-  rank_r_ = std::max<std::size_t>(std::min(profile.rank_bound, m_), k_);
+  const std::size_t rank_r =
+      std::max<std::size_t>(std::min(profile.rank_bound, m_), k_);
   log_m_ =
       k_ == 0
           ? 0.0
-          : log_binomial(rank_r_, k_) +
+          : log_binomial(rank_r, k_) +
                 static_cast<double>(k_) *
-                    (std::log(tau) - std::log(static_cast<double>(rank_r_)));
-
-  if (options_.persistent_proposal && k_ > 0) build_persistent_tables();
-}
-
-void DistillationPlan::build_persistent_tables() {
-  const std::size_t n = cumulative_.size();
-  // (weight, id) pairs for the positive-weight items, reconstructed from
-  // the authoritative prefix-sum table so revalidate_domain() resums the
-  // exact same values the alias/tail masses were built from.
-  std::vector<std::pair<double, int>> positive;
-  positive.reserve(n);
-  double prev = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = cumulative_[i] - prev;
-    prev = cumulative_[i];
-    if (w > 0.0) positive.emplace_back(w, static_cast<int>(i));
-  }
-
-  const auto heavier = [](const std::pair<double, int>& a,
-                          const std::pair<double, int>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;  // strict total order => deterministic D
-  };
-  std::size_t log2n = 1;
-  while ((static_cast<std::size_t>(1) << log2n) < n) ++log2n;
-  const std::size_t auto_size =
-      std::max(m_, k_ * log2n * log2n);
-  const std::size_t target = options_.sparsified_domain != 0
-                                 ? options_.sparsified_domain
-                                 : auto_size;
-  const std::size_t t = std::min(target, positive.size());
-  if (t < positive.size())
-    std::nth_element(positive.begin(), positive.begin() + t, positive.end(),
-                     heavier);
-  std::sort(positive.begin(), positive.begin() + t, heavier);
-
-  domain_items_.reserve(t);
-  domain_mass_ = 0.0;
-  for (std::size_t c = 0; c < t; ++c) {
-    domain_items_.push_back(positive[c].second);
-    domain_mass_ += positive[c].first;
-  }
-  // Tail in ascending-id order: the compacted cumulative table must be
-  // monotone for the binary-search fallback.
-  std::vector<std::pair<double, int>> tail(positive.begin() + t,
-                                           positive.end());
-  std::sort(tail.begin(), tail.end(),
-            [](const std::pair<double, int>& a,
-               const std::pair<double, int>& b) { return a.second < b.second; });
-  tail_items_.reserve(tail.size());
-  tail_cumulative_.reserve(tail.size());
-  tail_mass_ = 0.0;
-  for (const auto& [w, id] : tail) {
-    tail_mass_ += w;
-    tail_items_.push_back(id);
-    tail_cumulative_.push_back(tail_mass_);
-  }
-  const double total = domain_mass_ + tail_mass_;
-  p_domain_ = tail_items_.empty() ? 1.0 : domain_mass_ / total;
-
-  // Heavy-tail budget: E[tail candidates per pool] = m (1 - p_D); a pool
-  // beyond twice that (floored so sub-1 expectations do not flag every
-  // stray tail hit) is the rare event that triggers re-validation.
-  const double expected_tail =
-      static_cast<double>(m_) * (1.0 - p_domain_);
-  tail_budget_ = std::max<std::size_t>(
-      4, static_cast<std::size_t>(2.0 * std::ceil(expected_tail)));
-
-  // Vose alias table over D: cell c keeps its own item with probability
-  // alias_prob_[c], otherwise the donated alias_other_[c]. Scaled
-  // weights p_c = w_c * t / mass partition [0, t) exactly (up to one
-  // rounding per cell), so a single uniform serves cell + coin.
-  alias_prob_.assign(t, 1.0);
-  alias_other_.resize(t);
-  for (std::size_t c = 0; c < t; ++c)
-    alias_other_[c] = static_cast<std::uint32_t>(c);
-  std::vector<double> scaled(t);
-  for (std::size_t c = 0; c < t; ++c)
-    scaled[c] = positive[c].first * static_cast<double>(t) / domain_mass_;
-  std::vector<std::uint32_t> small;
-  std::vector<std::uint32_t> large;
-  small.reserve(t);
-  large.reserve(t);
-  for (std::size_t c = t; c-- > 0;) {  // fixed order => deterministic table
-    (scaled[c] < 1.0 ? small : large).push_back(
-        static_cast<std::uint32_t>(c));
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    large.pop_back();
-    alias_prob_[s] = scaled[s];
-    alias_other_[s] = l;
-    scaled[l] -= 1.0 - scaled[s];
-    (scaled[l] < 1.0 ? small : large).push_back(l);
-  }
-  // Leftovers are 1.0 up to roundoff; they keep their own item.
+                    (std::log(tau) - std::log(static_cast<double>(rank_r)));
 }
 
 std::size_t DistillationPlan::candidate_index(double target) const {
@@ -198,41 +85,9 @@ std::size_t DistillationPlan::candidate_index(double target) const {
   return static_cast<std::size_t>(it - cumulative_.begin());
 }
 
-std::size_t DistillationPlan::propose_candidate_persistent(
-    double u, std::size_t& tail_hits) const {
-  if (tail_items_.empty() || u < p_domain_) {
-    // Rescale the in-domain uniform onto [0, 1) and spend it on the
-    // one-uniform alias lookup: integer part picks the cell, fractional
-    // part is the cell's keep/alias coin.
-    double v = tail_items_.empty() ? u : u / p_domain_;
-    const auto t = static_cast<double>(domain_items_.size());
-    double cell_f = v * t;
-    auto cell = static_cast<std::size_t>(cell_f);
-    if (cell >= domain_items_.size()) {  // v == 1 at roundoff
-      cell = domain_items_.size() - 1;
-      cell_f = static_cast<double>(cell) + 1.0;
-    }
-    const double frac = cell_f - static_cast<double>(cell);
-    const std::size_t slot =
-        frac < alias_prob_[cell] ? cell : alias_other_[cell];
-    return static_cast<std::size_t>(domain_items_[slot]);
-  }
-  // Tail fallback: rescale the remainder onto the compacted exact
-  // cumulative table — same inverse-CDF law as the full-n path,
-  // restricted to [n] \ D.
-  ++tail_hits;
-  const double rem = (u - p_domain_) / (1.0 - p_domain_);
-  const double target = rem * tail_mass_;
-  auto it = std::upper_bound(tail_cumulative_.begin(), tail_cumulative_.end(),
-                             target);
-  if (it == tail_cumulative_.end()) --it;  // target == tail mass at roundoff
-  return static_cast<std::size_t>(
-      tail_items_[static_cast<std::size_t>(it - tail_cumulative_.begin())]);
-}
-
 std::unique_ptr<CountingOracle> DistillationPlan::propose(
-    RandomStream& rng, std::vector<int>& items, std::vector<double>& scales,
-    PoolStats* pool_stats) const {
+    RandomStream& rng, std::vector<int>& items,
+    std::vector<double>& scales) const {
   check_arg(k_ > 0,
             "DistillationPlan::propose: k == 0 has no candidate pool "
             "(draw() returns the empty sample without proposing)");
@@ -240,84 +95,13 @@ std::unique_ptr<CountingOracle> DistillationPlan::propose(
   scales.clear();
   items.reserve(m_);
   scales.reserve(m_);
-  std::size_t tail_hits = 0;
-  if (!domain_items_.empty()) {
-    for (std::size_t j = 0; j < m_; ++j) {
-      const std::size_t i = propose_candidate_persistent(rng.uniform(),
-                                                         tail_hits);
-      items.push_back(static_cast<int>(i));
-      scales.push_back(row_scale_[i]);
-    }
-    const std::uint64_t pool_count =
-        pools_.fetch_add(1, std::memory_order_relaxed) + 1;
-    tail_candidates_.fetch_add(tail_hits, std::memory_order_relaxed);
-    const bool heavy = tail_hits > tail_budget_;
-    if (heavy) heavy_tail_pools_.fetch_add(1, std::memory_order_relaxed);
-    if (heavy || (options_.refresh_interval != 0 &&
-                  pool_count % options_.refresh_interval == 0))
-      revalidate_domain();
-    if (pool_stats != nullptr) *pool_stats = {tail_hits, heavy};
-  } else {
-    const double tau = cumulative_.back();
-    for (std::size_t j = 0; j < m_; ++j) {
-      const std::size_t i = candidate_index(rng.uniform() * tau);
-      items.push_back(static_cast<int>(i));
-      scales.push_back(row_scale_[i]);
-    }
-    if (pool_stats != nullptr) *pool_stats = {};
+  const double tau = cumulative_.back();
+  for (std::size_t j = 0; j < m_; ++j) {
+    const std::size_t i = candidate_index(rng.uniform() * tau);
+    items.push_back(static_cast<int>(i));
+    scales.push_back(row_scale_[i]);
   }
   return base_->restrict_to(items, scales);
-}
-
-DistillationPlan::ProposalStats DistillationPlan::proposal_stats()
-    const noexcept {
-  return {pools_.load(std::memory_order_relaxed),
-          tail_candidates_.load(std::memory_order_relaxed),
-          heavy_tail_pools_.load(std::memory_order_relaxed),
-          refreshes_.load(std::memory_order_relaxed)};
-}
-
-void DistillationPlan::revalidate_domain() const {
-  if (domain_items_.empty()) return;
-  refreshes_.fetch_add(1, std::memory_order_relaxed);
-  if (failpoint("distill.revalidate"))
-    throw ProposalDriftError(
-        "DistillationPlan: injected revalidation failure "
-        "[failpoint distill.revalidate]");
-  const double tau = cumulative_.back();
-  // Resum the domain mass from the authoritative full-n table (w_i is
-  // the prefix-sum difference, the exact value the tables were built
-  // from) and re-derive the tail mass as the complement.
-  double domain_mass = 0.0;
-  for (const int id : domain_items_) {
-    const auto i = static_cast<std::size_t>(id);
-    const double below = i == 0 ? 0.0 : cumulative_[i - 1];
-    domain_mass += cumulative_[i] - below;
-  }
-  const double tol = 1e-9 * std::max(tau, 1.0);
-  if (std::abs(domain_mass - domain_mass_) > tol)
-    throw ProposalDriftError(
-        "DistillationPlan: sparsified-domain mass drifted from the "
-        "primed value — profile mutated under the plan; rebuild it");
-  if (std::abs((domain_mass_ + tail_mass_) - tau) > tol)
-    throw ProposalDriftError(
-        "DistillationPlan: domain + tail mass no longer sums to tau "
-        "— profile mutated under the plan; rebuild it");
-  // Re-derive the Maclaurin bound from tau and the cached rank bound: the
-  // acceptance test divides by M every pool, so a drifted bound silently
-  // reweights the output law — exactly the failure the refresh rule
-  // exists to catch. (Deliberately NOT re-querying
-  // base_->distillation_profile() here: that is an O(n d) weight
-  // recompute, and revalidation sits on the steady-state hot path.)
-  const double log_m_now =
-      log_binomial(rank_r_, k_) +
-      static_cast<double>(k_) *
-          (std::log(tau) - std::log(static_cast<double>(rank_r_)));
-  if (std::abs(log_m_now - log_m_) >
-      1e-12 * std::max(std::abs(log_m_), 1.0))
-    throw ProposalDriftError(
-        "DistillationPlan: Maclaurin acceptance bound drifted from "
-        "the primed value — profile mutated under the plan");
 }
 
 SampleResult DistillationPlan::draw(RandomStream& rng,
@@ -326,13 +110,8 @@ SampleResult DistillationPlan::draw(RandomStream& rng,
   std::vector<int> items;
   std::vector<double> scales;
   std::size_t duplicate_rejects = 0;
-  std::size_t tail_candidates = 0;
-  std::size_t heavy_tail_pools = 0;
-  PoolStats pool_stats;
   for (std::size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    const auto restricted = propose(rng, items, scales, &pool_stats);
-    tail_candidates += pool_stats.tail_candidates;
-    heavy_tail_pools += pool_stats.heavy_tail ? 1 : 0;
+    const auto restricted = propose(rng, items, scales);
     const double log_z = restricted->log_partition();
     // The acceptance uniform is consumed on every attempt (convention in
     // the header), so the stream position after a rejection does not
@@ -363,15 +142,11 @@ SampleResult DistillationPlan::draw(RandomStream& rng,
       continue;
     }
     result.diag.duplicate_rejects += duplicate_rejects;
-    result.diag.tail_candidates += tail_candidates;
-    result.diag.heavy_tail_pools += heavy_tail_pools;
     return result;
   }
   SampleDiagnostics diag;
   diag.proposals = options_.max_attempts;
   diag.duplicate_rejects = duplicate_rejects;
-  diag.tail_candidates = tail_candidates;
-  diag.heavy_tail_pools = heavy_tail_pools;
   throw DistillationStarvation(
       "DistillationPlan: no candidate pool accepted within max_attempts "
       "(attempts=" +

@@ -43,33 +43,8 @@
 // its own family protocol only on the accepted pool. Everything is drawn
 // from the caller's stream, so SamplerSession's per-draw stream forking
 // makes distilled draws bit-reproducible at every pool size.
-//
-// Persistent sparsified proposal (DESIGN.md §2 convention 11): the
-// per-draw-pool path maps each candidate uniform through an inverse-CDF
-// binary search over the full-n cumulative table — O(log n) probes per
-// candidate, each a cache miss at n = 10⁶. With
-// `DistillOptions::persistent_proposal` the plan materializes, once at
-// session-prime time, a reusable sparsified domain D of the
-// ~k·polylog(n) heaviest items with a Walker/Vose alias table over it,
-// and a compacted cumulative table over the tail [n] \ D. Each candidate
-// still consumes exactly one uniform u: the interval [0, 1) is split at
-// p_D = w(D)/τ, an in-domain u is rescaled into the O(1) alias lookup
-// (working set ~k·polylog(n), cache-resident across draws), and a tail u
-// falls back to the exact full-n-cost inverse-CDF path over the
-// compacted table. The per-candidate law is exactly q either way, so the
-// exactness proof above applies verbatim; only the uniform→candidate
-// *mapping* differs from the per-draw-pool protocol (the two modes draw
-// different — identically distributed — samples from one seed). A cheap
-// refresh rule re-validates the domain against the Maclaurin bound
-// (mass resum + bound recomputation, O(|D|)) every `refresh_interval`
-// pools and immediately for any rare heavy-tail pool (more tail
-// candidates than `tail_budget()`), so a profile drifting under the
-// plan (the dynamic-kernel hook) is caught instead of silently biasing
-// the acceptance bound.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -90,32 +65,21 @@ struct DistillOptions {
   /// acceptance rate is ensemble-dependent (near 1 for flat spectra); a
   /// run hitting this bound signals a spectrum distillation fits badly.
   std::size_t max_attempts = 100000;
-  /// Opt-in persistent sparsified proposal (DESIGN.md §2 convention 11):
-  /// candidate draws go through an alias table over the sparsified
-  /// domain instead of the full-n binary search. Same output law, a
-  /// different (documented) uniform→candidate mapping.
-  bool persistent_proposal = false;
-  /// Sparsified-domain size |D| (0 = auto: max(m, k·⌈log₂n⌉²), clamped
-  /// to the number of positive-weight items).
-  std::size_t sparsified_domain = 0;
-  /// Pools between periodic domain re-validations on the persistent
-  /// path (heavy-tail pools additionally re-validate immediately).
-  std::size_t refresh_interval = 4096;
 
   /// Throws InvalidArgument naming the offending field. `k` is the
-  /// target sample size when known (0 skips the k-relative checks): a
-  /// candidate budget or sparsified domain below k can never seat k
-  /// distinct items, which today surfaces as guaranteed starvation deep
-  /// inside a draw. Called by DistillationPlan's constructor and by
+  /// target sample size when known (0 skips the k-relative check): a
+  /// candidate budget below k can never seat k distinct items, which
+  /// would otherwise surface as guaranteed starvation deep inside a
+  /// draw. Called by DistillationPlan's constructor and by
   /// SessionOptions::validate.
   void validate(std::size_t k = 0) const;
 };
 
 /// Carries the forensic trail of a distillation run that exhausted
-/// max_attempts: `diag.proposals` holds the attempts consumed,
-/// `diag.duplicate_rejects` the roundoff-promoted duplicate selections,
-/// and the persistent-proposal counters ride along — the acceptance-rate
-/// starvation evidence the plain what() string used to discard.
+/// max_attempts: `diag.proposals` holds the attempts consumed and
+/// `diag.duplicate_rejects` the roundoff-promoted duplicate selections —
+/// the acceptance-rate starvation evidence the plain what() string used
+/// to discard.
 class DistillationStarvation : public SamplingFailure {
  public:
   DistillationStarvation(const std::string& message, SampleDiagnostics diag)
@@ -124,26 +88,11 @@ class DistillationStarvation : public SamplingFailure {
   SampleDiagnostics diag;
 };
 
-/// Thrown by `revalidate_domain()` when the persistent sparsified
-/// proposal's cached masses or acceptance bound no longer match the
-/// authoritative full-n table — the profile mutated under the plan.
-/// Distinguished from a generic NumericalError because it indicts the
-/// *shared* plan, not one draw: every future draw through the same plan
-/// will fail the same way, so SamplerSession treats an unrecovered drift
-/// as poisoning (DESIGN.md §2 convention 12) while a per-draw numerical
-/// failure only burns that draw's retry budget.
-class ProposalDriftError : public NumericalError {
- public:
-  using NumericalError::NumericalError;
-};
-
 /// The distillation plan for one base oracle: proposal weights, their
-/// cumulative table, the Maclaurin acceptance bound, and (opt-in) the
-/// persistent sparsified-proposal tables, computed once at session-prime
-/// time in O(n) from the oracle's DistillationProfile — never forcing
-/// the full-n spectral caches. The proposal tables are immutable after
-/// construction; concurrent draws share them read-only (the refresh-rule
-/// counters are relaxed atomics).
+/// cumulative table and the Maclaurin acceptance bound, computed once at
+/// session-prime time in O(n) from the oracle's DistillationProfile —
+/// never forcing the full-n spectral caches. The tables are immutable
+/// after construction; concurrent draws share them read-only.
 class DistillationPlan {
  public:
   /// Runs the exact sampler on one accepted restricted oracle,
@@ -152,23 +101,6 @@ class DistillationPlan {
   using InnerSampler =
       std::function<SampleResult(const CountingOracle&, RandomStream&)>;
 
-  /// Lifetime counters of the persistent proposal (zero when the mode is
-  /// off). `heavy_tail_pools` counts pools whose tail-candidate count
-  /// exceeded tail_budget(); each such pool triggered a re-validation.
-  struct ProposalStats {
-    std::uint64_t pools = 0;
-    std::uint64_t tail_candidates = 0;
-    std::uint64_t heavy_tail_pools = 0;
-    std::uint64_t refreshes = 0;
-  };
-
-  /// Per-pool proposal outcome, for callers that fold the counters into
-  /// per-draw diagnostics (DistillationPlan::draw does).
-  struct PoolStats {
-    std::size_t tail_candidates = 0;
-    bool heavy_tail = false;
-  };
-
   /// Throws InvalidArgument when the oracle's family does not support
   /// distillation (empty profile).
   DistillationPlan(const CountingOracle& base, DistillOptions options);
@@ -176,9 +108,8 @@ class DistillationPlan {
   /// One exact draw: propose pools until acceptance, run `inner` on the
   /// accepted restriction, map positions back to ground-set ids.
   /// Diagnostics: proposals = pools proposed, accepted_batches = 1,
-  /// plus the inner run's counters and the persistent-proposal tail
-  /// counters. Throws DistillationStarvation (diagnostics attached)
-  /// after max_attempts rejected pools.
+  /// plus the inner run's counters. Throws DistillationStarvation
+  /// (diagnostics attached) after max_attempts rejected pools.
   [[nodiscard]] SampleResult draw(RandomStream& rng,
                                   const InnerSampler& inner) const;
 
@@ -191,10 +122,9 @@ class DistillationPlan {
   /// outputs; exactly m_ uniforms) and builds the restricted oracle.
   /// Exposed for the fuzz tests; draw() is the sampling entry point.
   /// Rejects k = 0 plans (no pool exists; draw() no-ops instead).
-  /// `pool_stats`, when non-null, receives this pool's tail counters.
   [[nodiscard]] std::unique_ptr<CountingOracle> propose(
       RandomStream& rng, std::vector<int>& items,
-      std::vector<double>& scales, PoolStats* pool_stats = nullptr) const;
+      std::vector<double>& scales) const;
 
   /// Inverse-CDF candidate lookup over the full-n cumulative table for
   /// target ∈ [0, τ]. The `target == τ` roundoff fallback clamps to the
@@ -203,72 +133,15 @@ class DistillationPlan {
   /// assigns probability zero. Exposed for the regression tests.
   [[nodiscard]] std::size_t candidate_index(double target) const;
 
-  // ---- persistent sparsified proposal (convention 11) ----
-
-  [[nodiscard]] bool persistent() const noexcept {
-    return options_.persistent_proposal;
-  }
-  /// |D| — number of items the alias table covers (0 when the mode is
-  /// off or k = 0).
-  [[nodiscard]] std::size_t domain_size() const noexcept {
-    return domain_items_.size();
-  }
-  /// p_D = w(D)/τ — the fraction of candidate mass served by the O(1)
-  /// alias path; 1 - p_D is the per-candidate tail-fallback rate.
-  [[nodiscard]] double domain_mass_fraction() const noexcept {
-    return p_domain_;
-  }
-  /// Tail candidates per pool above which the pool is classed
-  /// heavy-tail and triggers an immediate re-validation.
-  [[nodiscard]] std::size_t tail_budget() const noexcept {
-    return tail_budget_;
-  }
-  [[nodiscard]] ProposalStats proposal_stats() const noexcept;
-
-  /// The refresh rule's re-validation: resums the domain and tail masses
-  /// from the authoritative full-n table and recomputes the Maclaurin
-  /// bound, throwing ProposalDriftError if either drifted from the cached
-  /// values the alias fast path relies on — the guard that a profile
-  /// mutating under the plan (item churn) degrades loudly into a
-  /// rebuild instead of silently biasing the acceptance bound. O(|D| +
-  /// |tail|) resum, O(1) bound check; no-op when the mode is off.
-  void revalidate_domain() const;
-
  private:
-  [[nodiscard]] std::size_t propose_candidate_persistent(
-      double u, std::size_t& tail_hits) const;
-  void build_persistent_tables();
-
   const CountingOracle* base_;
   DistillOptions options_;
   std::size_t k_;
   std::size_t m_;                    // candidate-pool size
-  std::size_t rank_r_ = 0;           // clamped rank bound r behind M
   double log_m_;                     // log Maclaurin bound M
   std::vector<double> cumulative_;   // prefix sums of the weights
   std::vector<double> row_scale_;    // sqrt(tau / (m w_i)) per item
   std::size_t last_positive_ = 0;    // last index with w_i > 0
-
-  // Persistent sparsified proposal (empty when the mode is off):
-  // domain_items_ holds |D| item ids in descending-weight order;
-  // cell c of the one-uniform alias table keeps domain_items_[c] when
-  // the cell fraction is below alias_prob_[c], else
-  // domain_items_[alias_other_[c]]. tail_items_ (ascending ids) and
-  // tail_cumulative_ form the compacted exact fallback table.
-  std::vector<int> domain_items_;
-  std::vector<double> alias_prob_;
-  std::vector<std::uint32_t> alias_other_;
-  std::vector<int> tail_items_;
-  std::vector<double> tail_cumulative_;
-  double domain_mass_ = 0.0;
-  double tail_mass_ = 0.0;
-  double p_domain_ = 1.0;
-  std::size_t tail_budget_ = 0;
-
-  mutable std::atomic<std::uint64_t> pools_{0};
-  mutable std::atomic<std::uint64_t> tail_candidates_{0};
-  mutable std::atomic<std::uint64_t> heavy_tail_pools_{0};
-  mutable std::atomic<std::uint64_t> refreshes_{0};
 };
 
 }  // namespace pardpp

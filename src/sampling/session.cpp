@@ -30,7 +30,7 @@ void RecoveryOptions::validate() const {
             "retry budget never retries (disable recovery instead — "
             "enabling it alone already changes the per-draw stream "
             "protocol)");
-  check_arg(degrade_proposal || degrade_undistilled || degrade_reference,
+  check_arg(degrade_undistilled || degrade_reference,
             "RecoveryOptions::degrade_*: enabled recovery with every "
             "ladder rung disabled can only retry the failing "
             "configuration in place");
@@ -49,15 +49,7 @@ void SessionOptions::validate(std::size_t sample_size) const {
   check_arg(entropic.alpha > 0.0,
             "EntropicOptions::alpha: must be positive");
   recovery.validate();
-  if (distill.enabled) {
-    distill.validate(sample_size);
-  } else {
-    check_arg(!distill.persistent_proposal,
-              "DistillOptions::persistent_proposal: set without "
-              "distill.enabled — the persistent proposal only exists "
-              "inside the distillation front end and would be silently "
-              "ignored");
-  }
+  if (distill.enabled) distill.validate(sample_size);
 }
 
 SamplerSession::SamplerSession(const CountingOracle& base,
@@ -73,12 +65,6 @@ SamplerSession::SamplerSession(const CountingOracle& base,
     // serves. The base oracle's caches stay cold (until a recovery rung
     // degrades to the undistilled path, which primes them lazily).
     plan_ = std::make_unique<DistillationPlan>(base, options_.distill);
-    if (options_.recovery.enabled && options_.recovery.degrade_proposal &&
-        options_.distill.persistent_proposal) {
-      DistillOptions perdraw = options_.distill;
-      perdraw.persistent_proposal = false;
-      perdraw_plan_ = std::make_unique<DistillationPlan>(base, perdraw);
-    }
     return;
   }
   ensure_base_primed();
@@ -110,15 +96,14 @@ SampleResult SamplerSession::run(CommittedOracle& state,
   return {};
 }
 
-SampleResult SamplerSession::draw_with_plan(const DistillationPlan& plan,
-                                            RandomStream& rng) const {
+SampleResult SamplerSession::draw_distilled(RandomStream& rng) const {
   // Fresh inner state per accepted pool: the restricted oracle lives only
   // for this draw, and use_commit picks the same commit-vs-reference
   // dispatch as the full-n path — with identical per-family protocols,
   // so the distilled bit-identity contract carries over.
   try {
-    return plan.draw(rng, [this](const CountingOracle& restricted,
-                                 RandomStream& inner_rng) {
+    return plan_->draw(rng, [this](const CountingOracle& restricted,
+                                   RandomStream& inner_rng) {
       const auto state = options_.use_commit
                              ? restricted.make_committed()
                              : make_condition_reference(restricted);
@@ -126,8 +111,8 @@ SampleResult SamplerSession::draw_with_plan(const DistillationPlan& plan,
     });
   } catch (const DistillationStarvation& starved) {
     // Re-throw with the session context attached; the diagnostics struct
-    // (attempts-at-failure in .proposals, duplicate_rejects, tail
-    // counters) rides along unchanged for the caller's forensics.
+    // (attempts-at-failure in .proposals, duplicate_rejects) rides along
+    // unchanged for the caller's forensics.
     throw DistillationStarvation(
         std::string(starved.what()) + " [session: family " + base_->name() +
             ", kind " + sampler_kind_name(options_.kind) +
@@ -142,15 +127,13 @@ SampleResult SamplerSession::run_rung(Rung rung,
                                       RandomStream& rng) const {
   switch (rung) {
     case Rung::kConfigured:
-      if (plan_ != nullptr) return draw_with_plan(*plan_, rng);
+      if (plan_ != nullptr) return draw_distilled(rng);
       if (slot == nullptr) {
         slot = make_state();
       } else {
         slot->reset();
       }
       return run(*slot, rng);
-    case Rung::kPerDrawProposal:
-      return draw_with_plan(*perdraw_plan_, rng);
     case Rung::kUndistilled: {
       ensure_base_primed();
       const auto state = make_state();
@@ -171,8 +154,6 @@ SamplerSession::Rung SamplerSession::next_rung(Rung rung) const {
     switch (r) {
       case Rung::kConfigured:
         return true;
-      case Rung::kPerDrawProposal:
-        return rec.degrade_proposal && perdraw_plan_ != nullptr;
       case Rung::kUndistilled:
         return rec.degrade_undistilled && plan_ != nullptr;
       case Rung::kReference:
@@ -190,35 +171,12 @@ SamplerSession::Rung SamplerSession::next_rung(Rung rung) const {
   return rung;  // ladder exhausted: remaining attempts retry in place
 }
 
-void SamplerSession::throw_if_poisoned() const {
-  if (!poisoned_.load(std::memory_order_acquire)) return;
-  std::string reason;
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    reason = poison_reason_;
-  }
-  throw SessionPoisoned("SamplerSession: poisoned (" + reason +
-                        "); rebuild the session");
-}
-
 void SamplerSession::emit(GuardEventKind kind, std::size_t index,
                           std::size_t attempt, std::string detail) const {
   if (!options_.guard_events) return;
-  const std::lock_guard<std::mutex> lock(state_mutex_);
+  const std::lock_guard<std::mutex> lock(sink_mutex_);
   options_.guard_events(
       GuardEvent{kind, index, attempt, std::move(detail)});
-}
-
-void SamplerSession::poison(std::size_t index, std::size_t attempt,
-                            const std::string& reason) {
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    if (!poisoned_.load(std::memory_order_relaxed)) {
-      poison_reason_ = reason;
-      poisoned_.store(true, std::memory_order_release);
-    }
-  }
-  emit(GuardEventKind::kPoisoned, index, attempt, reason);
 }
 
 void SamplerSession::note_success(SampleResult& result, Rung rung,
@@ -233,9 +191,6 @@ void SamplerSession::note_success(SampleResult& result, Rung rung,
   }
   switch (rung) {
     case Rung::kConfigured:
-      break;
-    case Rung::kPerDrawProposal:
-      degraded_proposal_.fetch_add(1, std::memory_order_relaxed);
       break;
     case Rung::kUndistilled:
       degraded_undistilled_.fetch_add(1, std::memory_order_relaxed);
@@ -254,12 +209,6 @@ void SamplerSession::note_failure(std::size_t index, std::size_t attempt,
   } catch (const DistillationStarvation& starved) {
     starvations_.fetch_add(1, std::memory_order_relaxed);
     emit(GuardEventKind::kStarvation, index, attempt, starved.what());
-  } catch (const ProposalDriftError& drift) {
-    proposal_drifts_.fetch_add(1, std::memory_order_relaxed);
-    emit(GuardEventKind::kProposalDrift, index, attempt, drift.what());
-    // An unrecovered drift indicts the shared plan: every future draw
-    // through it would fail identically, so fail them fast and loudly.
-    if (final_failure) poison(index, attempt, drift.what());
   } catch (const std::exception& error_obj) {
     emit(GuardEventKind::kDrawFailure, index, attempt, error_obj.what());
   } catch (...) {
@@ -271,7 +220,6 @@ void SamplerSession::note_failure(std::size_t index, std::size_t attempt,
 SampleResult SamplerSession::draw_indexed(
     std::size_t index, RandomStream& rng,
     std::unique_ptr<CommittedOracle>& slot) {
-  throw_if_poisoned();
   draws_.fetch_add(1, std::memory_order_relaxed);
   // One deterministic-firing scope per draw, keyed by the draw's stream
   // index: an armed failpoint schedule fires as a function of the index
@@ -323,9 +271,6 @@ SampleResult SamplerSession::draw_indexed(
         rung = next;
         GuardEventKind kind = GuardEventKind::kRetry;
         switch (rung) {
-          case Rung::kPerDrawProposal:
-            kind = GuardEventKind::kDegradeProposal;
-            break;
           case Rung::kUndistilled:
             kind = GuardEventKind::kDegradeUndistilled;
             break;
@@ -360,7 +305,6 @@ SampleResult SamplerSession::draw(RandomStream& rng) {
 
 std::vector<SampleResult> SamplerSession::draw_many(
     std::size_t count, RandomStream& rng, const ExecutionContext& ctx) {
-  throw_if_poisoned();
   std::vector<SampleResult> out(count);
   const MachineStreams streams(rng);
   ctx.for_each_chunk(
@@ -381,7 +325,6 @@ std::vector<SampleResult> SamplerSession::draw_many(
 std::vector<DrawBatchOutcome> SamplerSession::draw_many_batched(
     const std::vector<DrawBatchRequest>& requests,
     const ExecutionContext& ctx) {
-  throw_if_poisoned();
   // Per-request stream forks, each consuming exactly what a standalone
   // `RandomStream rng(seed); draw_many(count, rng, ctx)` would consume
   // (one split of the seeded root stream) — the whole determinism
@@ -458,8 +401,6 @@ SessionHealth SamplerSession::health() const {
   health.draws = draws_.load(std::memory_order_relaxed);
   health.failures = failures_.load(std::memory_order_relaxed);
   health.retries = retries_.load(std::memory_order_relaxed);
-  health.degraded_proposal =
-      degraded_proposal_.load(std::memory_order_relaxed);
   health.degraded_undistilled =
       degraded_undistilled_.load(std::memory_order_relaxed);
   health.degraded_reference =
@@ -467,13 +408,7 @@ SessionHealth SamplerSession::health() const {
   health.spectral_refreshes =
       spectral_refreshes_.load(std::memory_order_relaxed);
   health.starvations = starvations_.load(std::memory_order_relaxed);
-  health.proposal_drifts = proposal_drifts_.load(std::memory_order_relaxed);
   health.session_epoch = epoch_;
-  health.poisoned = poisoned_.load(std::memory_order_acquire);
-  if (health.poisoned) {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    health.poison_reason = poison_reason_;
-  }
   return health;
 }
 

@@ -22,18 +22,14 @@
 //
 // Failure model (DESIGN.md §2 convention 12): a draw that throws leaves
 // the session reusable — per-chunk committed states are discarded on
-// failure and rebuilt on the next draw — with one exception: a
-// ProposalDriftError that no ladder rung absorbs indicts the *shared*
-// persistent proposal plan, so the session poisons itself and every
-// subsequent draw throws SessionPoisoned until the caller rebuilds it.
-// `RecoveryOptions` turns failures into policy: each draw gets a retry
-// budget and a bounded degradation ladder (persistent proposal → per-draw
-// proposal → undistilled path → condition() reference), every attempt
-// consuming a private stream forked from the draw's stream by attempt
-// index — so recovered draws remain a function of the seed alone, at
-// every pool size. All retry/degradation/guard activity is observable
-// through the GuardEvent sink and the lifetime counters `health()`
-// returns.
+// failure and rebuilt on the next draw. `RecoveryOptions` turns failures
+// into policy: each draw gets a retry budget and a bounded degradation
+// ladder (distilled → undistilled path → condition() reference), every
+// attempt consuming a private stream forked from the draw's stream by
+// attempt index — so recovered draws remain a function of the seed
+// alone, at every pool size. All retry/degradation/guard activity is
+// observable through the GuardEvent sink and the lifetime counters
+// `health()` returns.
 #pragma once
 
 #include <array>
@@ -91,15 +87,6 @@ inline constexpr std::array<SamplerKind, 3> kAllSamplerKinds = {
   return std::nullopt;
 }
 
-/// Thrown by every draw on a poisoned session (what() carries the
-/// poisoning reason). Poisoning is deliberate and narrow: it marks shared
-/// state (the persistent proposal plan) as untrustworthy, not a transient
-/// per-draw failure. Rebuild the session to recover.
-class SessionPoisoned : public Error {
- public:
-  using Error::Error;
-};
-
 /// Per-draw retry/degradation policy. Disabled by default: a failing
 /// draw then throws its typed error directly (the pre-recovery contract,
 /// and the zero-overhead configuration).
@@ -114,9 +101,6 @@ struct RecoveryOptions {
   /// at most 4 attempts). When the ladder has no rung left to degrade
   /// to, remaining attempts retry the last rung.
   std::size_t max_retries = 3;
-  /// Ladder rung: persistent proposal → per-draw proposal (same distill
-  /// options minus persistence; primes a second plan at construction).
-  bool degrade_proposal = true;
   /// Ladder rung: distilled → undistilled full-n path (lazily pays the
   /// base oracle's full preprocessing on first use).
   bool degrade_undistilled = true;
@@ -166,19 +150,15 @@ struct SessionHealth {
   std::uint64_t draws = 0;        ///< draw attempts started (incl. failed)
   std::uint64_t failures = 0;     ///< draws that threw out of the session
   std::uint64_t retries = 0;      ///< extra recovery attempts consumed
-  std::uint64_t degraded_proposal = 0;     ///< draws served on rung 1
-  std::uint64_t degraded_undistilled = 0;  ///< draws served on rung 2
-  std::uint64_t degraded_reference = 0;    ///< draws served on rung 3
+  std::uint64_t degraded_undistilled = 0;  ///< draws served on rung 1
+  std::uint64_t degraded_reference = 0;    ///< draws served on rung 2
   std::uint64_t spectral_refreshes = 0;    ///< eigensolve fallbacks paid
   std::uint64_t starvations = 0;           ///< DistillationStarvation seen
-  std::uint64_t proposal_drifts = 0;       ///< ProposalDriftError seen
   /// Process-wide monotone epoch stamped at session construction: two
   /// snapshots with different epochs came from different SamplerSession
-  /// objects, so registry consumers detect a poisoned-session replacement
-  /// across snapshots even when every counter happens to match.
+  /// objects, so registry consumers detect a rebuilt session across
+  /// snapshots even when every counter happens to match.
   std::uint64_t session_epoch = 0;
-  bool poisoned = false;
-  std::string poison_reason;  ///< empty unless poisoned
 };
 
 /// One coalesced sub-request for SamplerSession::draw_many_batched: a
@@ -207,8 +187,8 @@ class SamplerSession {
                           SessionOptions options = {});
 
   /// One draw on the session's serial state (reset + run; scratch and the
-  /// base preprocessing are reused across calls). Throws SessionPoisoned
-  /// on a poisoned session; any other throw leaves the session reusable.
+  /// base preprocessing are reused across calls). A throw leaves the
+  /// session reusable.
   [[nodiscard]] SampleResult draw(RandomStream& rng);
 
   /// `count` independent draws, dispatched in chunks on the context's
@@ -217,8 +197,7 @@ class SamplerSession {
   /// exactly one split), so the result sequence is a function of the seed
   /// alone — never of the pool size or the chunk layout. A throwing draw
   /// propagates exactly one typed exception (the first, in completion
-  /// order) after all in-flight chunks drain; the session stays reusable
-  /// unless the failure poisoned it.
+  /// order) after all in-flight chunks drain; the session stays reusable.
   [[nodiscard]] std::vector<SampleResult> draw_many(
       std::size_t count, RandomStream& rng, const ExecutionContext& ctx);
 
@@ -230,9 +209,7 @@ class SamplerSession {
   /// MachineStreams from its own seed, and draw i of a request consumes
   /// the stream for its request-local index. Unlike draw_many, a failing
   /// draw does not throw out: it fails only its own request's outcome
-  /// (other requests in the batch still complete), except that a failure
-  /// which poisons the session makes the remaining draws fail with
-  /// SessionPoisoned. Throws SessionPoisoned if already poisoned.
+  /// (other requests in the batch still complete).
   [[nodiscard]] std::vector<DrawBatchOutcome> draw_many_batched(
       const std::vector<DrawBatchRequest>& requests,
       const ExecutionContext& ctx);
@@ -245,12 +222,6 @@ class SamplerSession {
   /// SessionHealth::session_epoch).
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
-  /// The primed distillation plan (nullptr unless distill.enabled) — the
-  /// persistent-proposal stats surface for benches and tests.
-  [[nodiscard]] const DistillationPlan* distillation_plan() const noexcept {
-    return plan_.get();
-  }
-
   /// Snapshot of the session's lifetime failure/recovery counters.
   /// Thread-safe; counters are relaxed atomics, so a snapshot taken
   /// while draws are in flight is approximate but never torn per-field.
@@ -259,14 +230,12 @@ class SamplerSession {
  private:
   /// Degradation ladder rungs, in order. kConfigured is whatever the
   /// options selected; later rungs only apply where they differ from it.
-  enum class Rung { kConfigured = 0, kPerDrawProposal, kUndistilled,
-                    kReference };
+  enum class Rung { kConfigured = 0, kUndistilled, kReference };
 
   [[nodiscard]] std::unique_ptr<CommittedOracle> make_state() const;
   [[nodiscard]] SampleResult run(CommittedOracle& state,
                                  RandomStream& rng) const;
-  [[nodiscard]] SampleResult draw_with_plan(const DistillationPlan& plan,
-                                            RandomStream& rng) const;
+  [[nodiscard]] SampleResult draw_distilled(RandomStream& rng) const;
   [[nodiscard]] SampleResult run_rung(
       Rung rung, std::unique_ptr<CommittedOracle>& slot,
       RandomStream& rng) const;
@@ -275,15 +244,12 @@ class SamplerSession {
       std::unique_ptr<CommittedOracle>& slot);
   [[nodiscard]] Rung next_rung(Rung rung) const;
   void ensure_base_primed() const;
-  void throw_if_poisoned() const;
   void note_success(SampleResult& result, Rung rung, std::size_t attempt,
                     std::size_t index);
-  /// Classifies a failed attempt into counters/events; poisons on an
-  /// unrecovered drift when `final_failure`.
+  /// Classifies a failed attempt into counters/events; counts a session
+  /// failure when `final_failure`.
   void note_failure(std::size_t index, std::size_t attempt,
                     const std::exception_ptr& error, bool final_failure);
-  void poison(std::size_t index, std::size_t attempt,
-              const std::string& reason);
   void emit(GuardEventKind kind, std::size_t index, std::size_t attempt,
             std::string detail) const;
 
@@ -292,24 +258,17 @@ class SamplerSession {
   std::uint64_t epoch_;  // stamped from a process-wide monotone counter
   std::unique_ptr<CommittedOracle> serial_state_;
   std::unique_ptr<DistillationPlan> plan_;  // non-null iff distill.enabled
-  // Rung 1's plan: same distillation minus the persistent proposal
-  // (non-null only when recovery can degrade a persistent plan).
-  std::unique_ptr<DistillationPlan> perdraw_plan_;
-  mutable std::once_flag base_primed_;  // rungs 2/3 of a distilled session
+  mutable std::once_flag base_primed_;  // rungs 1/2 of a distilled session
 
   std::atomic<std::uint64_t> serial_index_{0};  // draw() scope/event index
   std::atomic<std::uint64_t> draws_{0};
   std::atomic<std::uint64_t> failures_{0};
   std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> degraded_proposal_{0};
   std::atomic<std::uint64_t> degraded_undistilled_{0};
   std::atomic<std::uint64_t> degraded_reference_{0};
   std::atomic<std::uint64_t> spectral_refreshes_{0};
   std::atomic<std::uint64_t> starvations_{0};
-  std::atomic<std::uint64_t> proposal_drifts_{0};
-  std::atomic<bool> poisoned_{false};
-  mutable std::mutex state_mutex_;  // guards poison_reason_ + sink calls
-  std::string poison_reason_;
+  mutable std::mutex sink_mutex_;  // serializes guard-event sink calls
 };
 
 }  // namespace pardpp

@@ -109,11 +109,6 @@ std::string SessionConfig::to_string() const {
   field("distill.enabled", format_bool(s.distill.enabled));
   field("distill.candidate_budget", std::to_string(s.distill.candidate_budget));
   field("distill.max_attempts", std::to_string(s.distill.max_attempts));
-  field("distill.persistent_proposal",
-        format_bool(s.distill.persistent_proposal));
-  field("distill.sparsified_domain",
-        std::to_string(s.distill.sparsified_domain));
-  field("distill.refresh_interval", std::to_string(s.distill.refresh_interval));
   field("batched.failure_prob", format_double(s.batched.failure_prob));
   field("batched.extra_log_cap", format_double(s.batched.extra_log_cap));
   field("batched.max_batch", std::to_string(s.batched.max_batch));
@@ -130,7 +125,6 @@ std::string SessionConfig::to_string() const {
   field("entropic.machine_cap", std::to_string(s.entropic.machine_cap));
   field("recovery.enabled", format_bool(s.recovery.enabled));
   field("recovery.max_retries", std::to_string(s.recovery.max_retries));
-  field("recovery.degrade_proposal", format_bool(s.recovery.degrade_proposal));
   field("recovery.degrade_undistilled",
         format_bool(s.recovery.degrade_undistilled));
   field("recovery.degrade_reference",
@@ -157,12 +151,6 @@ SessionConfig SessionConfig::parse(std::string_view text) {
       s.distill.candidate_budget = parse_size(key, value);
     } else if (key == "distill.max_attempts") {
       s.distill.max_attempts = parse_size(key, value);
-    } else if (key == "distill.persistent_proposal") {
-      s.distill.persistent_proposal = parse_bool(key, value);
-    } else if (key == "distill.sparsified_domain") {
-      s.distill.sparsified_domain = parse_size(key, value);
-    } else if (key == "distill.refresh_interval") {
-      s.distill.refresh_interval = parse_size(key, value);
     } else if (key == "batched.failure_prob") {
       s.batched.failure_prob = parse_double(key, value);
     } else if (key == "batched.extra_log_cap") {
@@ -195,8 +183,6 @@ SessionConfig SessionConfig::parse(std::string_view text) {
       s.recovery.enabled = parse_bool(key, value);
     } else if (key == "recovery.max_retries") {
       s.recovery.max_retries = parse_size(key, value);
-    } else if (key == "recovery.degrade_proposal") {
-      s.recovery.degrade_proposal = parse_bool(key, value);
     } else if (key == "recovery.degrade_undistilled") {
       s.recovery.degrade_undistilled = parse_bool(key, value);
     } else if (key == "recovery.degrade_reference") {

@@ -9,7 +9,7 @@ ServingSession::ServingSession(std::unique_ptr<CountingOracle> oracle,
                                std::size_t resident_bytes)
     : oracle_(std::move(oracle)), resident_bytes_(resident_bytes) {
   // Chain the per-kind counters in front of any caller sink. The sink
-  // runs under the session's state mutex, so the increments are cheap
+  // runs under the session's sink mutex, so the increments are cheap
   // relaxed stores on an already-serialized path.
   GuardEventSink user_sink = std::move(options.guard_events);
   options.guard_events = [this, user_sink = std::move(user_sink)](
@@ -37,25 +37,9 @@ std::shared_ptr<ServingSession> SessionRegistry::acquire(
   ++stats_.lookups;
   const auto found = index_.find(fingerprint);
   if (found != index_.end()) {
-    const auto entry_it = found->second;
-    if (!entry_it->session->session().health().poisoned) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, entry_it);  // touch
-      return entry_it->session;
-    }
-    // Poisoned: build the replacement first, so a throwing rebuild
-    // leaves the poisoned entry resident (the next acquire retries the
-    // rebuild; handing out the poisoned session is never an option —
-    // every draw on it throws SessionPoisoned anyway).
-    auto replacement = std::make_shared<ServingSession>(
-        make_oracle(), options, resident_bytes);
-    ++stats_.poisoned_replacements;
-    stats_.resident_bytes -= entry_it->session->resident_bytes();
-    stats_.resident_bytes += replacement->resident_bytes();
-    entry_it->session = std::move(replacement);
-    lru_.splice(lru_.begin(), lru_, entry_it);
-    evict_over_budget_locked();
-    return lru_.front().session;
+    ++stats_.hits;
+    lru_.splice(lru_.begin(), lru_, found->second);  // touch
+    return found->second->session;
   }
   ++stats_.misses;
   auto session = std::make_shared<ServingSession>(make_oracle(), options,

@@ -1,20 +1,14 @@
 // Session registry: long-lived SamplerSessions keyed by kernel
-// fingerprint, with LRU eviction by resident-bytes budget and
-// poisoned-session replacement (DESIGN.md §2 convention 13).
+// fingerprint, with LRU eviction by resident-bytes budget (DESIGN.md §2
+// convention 13).
 //
 // An entry owns its oracle AND its session (the session holds a
 // reference into the oracle, so the pair lives and dies together), plus
 // a per-kind GuardEvent counter array the stats surface reads without
 // taking the session's sink lock. Entries are handed out as shared_ptr:
-// eviction or replacement removes an entry from the registry but
-// in-flight holders keep it alive until their batch drains — an evicted
-// session finishes its work, it is just never handed out again.
-//
-// Poisoned replacement: acquire() on a fingerprint whose resident
-// session is poisoned (SessionHealth::poisoned) builds a fresh entry in
-// place and returns it — clients never receive a poisoned session. The
-// replacement gets a new SessionHealth::session_epoch, which is how
-// consumers holding old health snapshots detect the swap.
+// eviction removes an entry from the registry but in-flight holders keep
+// it alive until their batch drains — an evicted session finishes its
+// work, it is just never handed out again.
 #pragma once
 
 #include <array>
@@ -85,14 +79,13 @@ struct RegistryStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;  ///< cold builds (first acquire of a key)
   std::uint64_t evictions = 0;
-  std::uint64_t poisoned_replacements = 0;
   std::size_t sessions = 0;        ///< resident entries right now
   std::size_t resident_bytes = 0;  ///< sum of resident estimates
 };
 
 class SessionRegistry {
  public:
-  /// Builds the oracle for a cold (or replacement) entry. Called under
+  /// Builds the oracle for a cold entry. Called under
   /// the registry lock: concurrent acquires of the same fingerprint
   /// build once, at the cost of serializing cold builds of *different*
   /// kernels — acceptable for a build that is paid once per kernel.
@@ -102,8 +95,7 @@ class SessionRegistry {
       : options_(options) {}
 
   /// Hit: touches the LRU slot and returns the resident session.
-  /// Poisoned hit: replaces the entry (fresh oracle + session) and
-  /// returns the replacement. Miss: builds, inserts most-recent, then
+  /// Miss: builds, inserts most-recent, then
   /// evicts cold entries until the byte budget holds. Construction
   /// exceptions (oracle factory or session validate/prime) propagate to
   /// the caller and leave the registry unchanged.

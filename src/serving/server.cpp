@@ -107,9 +107,8 @@ void SamplingServer::run_group(std::vector<Pending>& group) {
       }
     }
   } catch (...) {
-    // Group-level failure: session build/validate threw, or the whole
-    // batch was refused (already-poisoned session). Every request in the
-    // group gets the same typed exception.
+    // Group-level failure: session build/validate threw. Every request
+    // in the group gets the same typed exception.
     const std::exception_ptr error = std::current_exception();
     for (Pending& pending : group) {
       finish(pending, /*failed=*/true);

@@ -62,7 +62,7 @@ struct ServerRequest {
   /// Resident-bytes estimate charged against the registry budget when
   /// this request builds the session.
   std::size_t resident_bytes = 0;
-  /// Builds the oracle on a registry miss (or poisoned replacement).
+  /// Builds the oracle on a registry miss.
   SessionRegistry::OracleFactory make_oracle;
   std::size_t count = 1;
   std::uint64_t seed = 0;

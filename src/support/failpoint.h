@@ -1,7 +1,7 @@
 // Deterministic fault injection — named, compiled-in failpoints.
 //
-// Robustness of the serving stack (recovery ladders, poisoning, typed
-// failure propagation) is only testable if the failures themselves are
+// Robustness of the serving stack (recovery ladders, typed failure
+// propagation) is only testable if the failures themselves are
 // injectable on demand and *reproducible*: a flaky fault schedule makes a
 // recovery test as untrustworthy as the bug it hunts. Every guard site in
 // the library that can fail in production carries a named failpoint:

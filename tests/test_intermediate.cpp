@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,11 +18,13 @@
 #include "linalg/factory.h"
 #include "linalg/lowrank.h"
 #include "linalg/lu.h"
+#include "linalg/simd.h"
 #include "parallel/execution.h"
 #include "parallel/thread_pool.h"
 #include "sampling/intermediate.h"
 #include "sampling/sequential.h"
 #include "sampling/session.h"
+#include "support/failpoint.h"
 #include "support/random.h"
 #include "test_util.h"
 
@@ -389,155 +392,10 @@ TEST(SamplerSessionTest, StarvationSurfacesSessionContext) {
   EXPECT_TRUE(starved);
 }
 
-// ---- persistent sparsified proposal (DESIGN.md §2 convention 11) ----
-
-// The per-candidate law must be exactly q = w / tau whichever side of the
-// domain split serves it: empirical candidate frequencies from the
-// two-level alias + tail decomposition against the weights, with a tiny
-// domain so the tail fallback carries most of the mass.
-TEST(PersistentProposalTest, CandidateLawMatchesWeightsThroughBothLevels) {
-  RandomStream setup(771014);
-  const std::size_t n = 12;
-  const std::size_t d = 3;
-  Matrix features = random_gaussian(n, d, setup);
-  for (std::size_t c = 0; c < d; ++c) features(2, c) *= 6.0;  // skew
-  std::vector<double> weights(n, 0.0);
-  double tau = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < d; ++c)
-      weights[i] += features(i, c) * features(i, c);
-    tau += weights[i];
-  }
-  const FeatureKdppOracle oracle(features, 2);
-  DistillOptions options;
-  options.candidate_budget = 24;
-  options.persistent_proposal = true;
-  options.sparsified_domain = 3;
-  const DistillationPlan plan(oracle, options);
-  ASSERT_EQ(plan.domain_size(), 3u);
-  ASSERT_LT(plan.domain_mass_fraction(), 1.0);
-
-  RandomStream rng(771015);
-  std::vector<int> items;
-  std::vector<double> scales;
-  std::vector<double> counts(n, 0.0);
-  const int pools = 3000;
-  for (int p = 0; p < pools; ++p) {
-    (void)plan.propose(rng, items, scales);
-    for (std::size_t j = 0; j < items.size(); ++j) {
-      counts[static_cast<std::size_t>(items[j])] += 1.0;
-      EXPECT_GT(scales[j], 0.0);
-    }
-  }
-  const double total = static_cast<double>(pools) * 24.0;
-  double tv = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    tv += std::abs(counts[i] / total - weights[i] / tau);
-  EXPECT_LT(0.5 * tv, 0.02);
-  const auto stats = plan.proposal_stats();
-  EXPECT_EQ(stats.pools, static_cast<std::uint64_t>(pools));
-  EXPECT_GT(stats.tail_candidates, 0u);  // both levels actually exercised
-}
-
-// Full output-law exactness of the persistent mode against enumeration,
-// including the pool-size sweep and condition() reference bit-identity
-// that collect_distilled pins — with a small forced domain so draws mix
-// alias and tail candidates.
-TEST(DistilledFeatureStatTest, PersistentProposalMatchesEnumeration) {
-  RandomStream setup(771016);
-  const std::size_t n = 10;
-  const std::size_t d = 4;
-  const std::size_t k = 3;
-  const Matrix features = random_gaussian(n, d, setup);
-  const Matrix l = multiply_transposed_b(features, features);
-  const FeatureKdppOracle oracle(features, k);
-  const auto dist = testing::exact_distribution(
-      static_cast<int>(n), static_cast<int>(k), [&](std::span<const int> s) {
-        return signed_log_det(l.principal(s)).log_abs;
-      });
-
-  SessionOptions options;
-  options.distill.enabled = true;
-  options.distill.persistent_proposal = true;
-  options.distill.sparsified_domain = 4;
-  const auto samples = collect_distilled(oracle, options, 77104, 2400);
-  expect_matches(dist, samples);
-}
-
-// The refresh rule's heavy-tail branch: a skewed profile whose domain
-// captures ~98% of the mass leaves ~1.4 expected tail hits per pool
-// (budget 4), so a pool with 5+ tail hits is the rare heavy-tail event —
-// a few percent per pool, certain across 800 — and each one must
-// trigger an immediate re-validation.
-TEST(PersistentProposalTest, HeavyTailPoolsTriggerRevalidation) {
-  RandomStream setup(771017);
-  Matrix features = random_gaussian(40, 3, setup);
-  for (std::size_t i = 0; i < 4; ++i)
-    for (std::size_t c = 0; c < 3; ++c) features(i, c) *= 20.0;
-  const FeatureKdppOracle oracle(features, 2);
-  DistillOptions options;
-  options.candidate_budget = 64;
-  options.persistent_proposal = true;
-  options.sparsified_domain = 4;
-  options.refresh_interval = 0;  // isolate the heavy-tail trigger
-  const DistillationPlan plan(oracle, options);
-  ASSERT_GT(plan.domain_mass_fraction(), 0.9);
-  ASSERT_LT(plan.domain_mass_fraction(), 1.0);
-
-  RandomStream rng(771018);
-  std::vector<int> items;
-  std::vector<double> scales;
-  for (int p = 0; p < 800; ++p) (void)plan.propose(rng, items, scales);
-  const auto stats = plan.proposal_stats();
-  EXPECT_EQ(stats.pools, 800u);
-  EXPECT_GT(stats.tail_candidates, 0u);
-  EXPECT_GT(stats.heavy_tail_pools, 0u);
-  EXPECT_LT(stats.heavy_tail_pools, 100u);  // heavy pools stay rare
-  EXPECT_EQ(stats.refreshes, stats.heavy_tail_pools);  // each revalidated
-
-  // A tiny-domain draw() surfaces the tail counters in the per-draw
-  // diagnostics (nearly every candidate falls back to the tail there).
-  DistillOptions tiny = options;
-  tiny.sparsified_domain = 2;  // = k, the smallest domain validate() admits
-  const DistillationPlan tiny_plan(oracle, tiny);
-  const auto result = tiny_plan.draw(
-      rng, [](const CountingOracle& restricted, RandomStream& inner_rng) {
-        return sample_sequential(restricted, inner_rng);
-      });
-  EXPECT_GT(result.diag.tail_candidates, 0u);
-}
-
-// Periodic refresh: interval 1 re-validates after every pool; the
-// re-validation against an unmutated profile passes and counts.
-TEST(PersistentProposalTest, PeriodicRefreshRevalidatesEveryPool) {
-  RandomStream setup(771019);
-  const Matrix features = random_gaussian(20, 4, setup);
-  const FeatureKdppOracle oracle(features, 2);
-  DistillOptions options;
-  options.candidate_budget = 16;
-  options.persistent_proposal = true;
-  options.sparsified_domain = 20;  // full domain: no heavy-tail noise
-  options.refresh_interval = 1;
-  const DistillationPlan plan(oracle, options);
-  EXPECT_DOUBLE_EQ(plan.domain_mass_fraction(), 1.0);
-
-  RandomStream rng(771020);
-  std::vector<int> items;
-  std::vector<double> scales;
-  for (int p = 0; p < 5; ++p) (void)plan.propose(rng, items, scales);
-  const auto stats = plan.proposal_stats();
-  EXPECT_EQ(stats.pools, 5u);
-  EXPECT_EQ(stats.refreshes, 5u);
-  EXPECT_EQ(stats.heavy_tail_pools, 0u);
-  plan.revalidate_domain();  // direct call is also part of the surface
-  EXPECT_EQ(plan.proposal_stats().refreshes, 6u);
-}
-
-// Adversarial weight profiles through both proposal modes: trailing
-// zeros, a single heavy item, and a near-degenerate spectrum. Every pool
-// must carry positive row scales, in-range items, and a restricted
-// partition below the Maclaurin bound.
-TEST(PersistentProposalTest, AdversarialProfilesFuzz) {
+// Adversarial weight profiles: trailing zeros, a single heavy item, and
+// a near-degenerate spectrum. Every pool must carry positive row scales,
+// in-range items, and a restricted partition below the Maclaurin bound.
+TEST(DistillationPlanTest, AdversarialProfilesFuzz) {
   RandomStream setup(771021);
   RandomStream rng(771022);
   std::vector<int> items;
@@ -557,24 +415,108 @@ TEST(PersistentProposalTest, AdversarialProfilesFuzz) {
           features(i, c) = features(0, c) + 1e-4 * features(i, c);
     }
     const FeatureKdppOracle oracle(features, 2);
-    for (const bool persistent : {false, true}) {
-      DistillOptions options;
-      options.candidate_budget = 24;
-      options.persistent_proposal = persistent;
-      if (persistent) options.sparsified_domain = 4;
-      const DistillationPlan plan(oracle, options);
-      for (int pool = 0; pool < 30; ++pool) {
-        const auto restricted = plan.propose(rng, items, scales);
-        ASSERT_EQ(items.size(), plan.candidate_budget());
-        for (std::size_t j = 0; j < items.size(); ++j) {
-          ASSERT_GE(items[j], 0);
-          ASSERT_LT(items[j], static_cast<int>(n));
-          ASSERT_GT(scales[j], 0.0) << "null row proposed (profile "
-                                    << profile << ", persistent "
-                                    << persistent << ")";
-        }
-        EXPECT_LE(restricted->log_partition(), plan.log_accept_bound() + 1e-9);
+    DistillOptions options;
+    options.candidate_budget = 24;
+    const DistillationPlan plan(oracle, options);
+    for (int pool = 0; pool < 30; ++pool) {
+      const auto restricted = plan.propose(rng, items, scales);
+      ASSERT_EQ(items.size(), plan.candidate_budget());
+      for (std::size_t j = 0; j < items.size(); ++j) {
+        ASSERT_GE(items[j], 0);
+        ASSERT_LT(items[j], static_cast<int>(n));
+        ASSERT_GT(scales[j], 0.0) << "null row proposed (profile "
+                                  << profile << ")";
       }
+      EXPECT_LE(restricted->log_partition(), plan.log_accept_bound() + 1e-9);
+    }
+  }
+}
+
+// ---- Bit-identity pin of distilled draws ----
+//
+// FNV-1a fingerprints of seeded distilled draw_many sequences: the items,
+// the pools proposed and the recovery retries of every draw, for the feature
+// and symmetric families at pools 1 and 4. Recovery off runs the
+// configured distilled path; recovery on with distill.accept forcing
+// every pool to reject starves the distilled rung on each attempt-0
+// stream, so draws land on the undistilled rung. A change to the
+// per-draw proposal's uniform→candidate mapping, the acceptance protocol
+// or the attempt on which a draw leaves the distilled rung moves these
+// fingerprints. Draws are discrete, so the SIMD arms agree unless
+// roundoff flips a sample. The test disarms any environment schedule
+// first: the pins are of the uninjected path.
+
+std::uint64_t fnv_word(std::uint64_t hash, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    hash ^= (word >> (8 * b)) & 0xffu;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::uint64_t distilled_fingerprint(const CountingOracle& oracle,
+                                    const SessionOptions& options,
+                                    std::size_t threads) {
+  SamplerSession session(oracle, options);
+  ThreadPool pool(threads);
+  const ExecutionContext ctx(&pool, nullptr);
+  RandomStream rng(0xd157111);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const SampleResult& r : session.draw_many(24, rng, ctx)) {
+    hash = fnv_word(hash, r.items.size());
+    for (const int item : r.items)
+      hash = fnv_word(hash, static_cast<std::uint64_t>(item));
+    hash = fnv_word(hash, r.diag.proposals);
+    hash = fnv_word(hash, r.diag.recovery_retries);
+    // Rung numbers are not pinned, only whether the draw degraded.
+    EXPECT_EQ(r.diag.degradation_level != 0, options.recovery.enabled);
+  }
+  return hash;
+}
+
+TEST(BitIdentity, DistilledDrawsArePinned) {
+  struct Pins {
+    std::uint64_t plain;
+    std::uint64_t recovered;
+  };
+  RandomStream setup(0xd15711);
+  const FeatureKdppOracle feature(random_gaussian(400, 6, setup), 4);
+  const SymmetricKdppOracle symmetric(random_psd(60, 60, setup, 1e-3), 3);
+  struct Family {
+    const CountingOracle* oracle;
+    SamplerKind kind;
+    const char* label;
+    Pins want;
+  };
+  const Family families[] = {
+      {&feature, SamplerKind::kSequential, "feature",
+       {0x2f36e24c4a06c612ULL, 0x3e622d3fdeeea108ULL}},
+      {&symmetric, SamplerKind::kBatched, "symmetric",
+       {0xdc74b5905c660315ULL, 0x6b21f9a9d0f0d19aULL}},
+  };
+  FailpointRegistry::instance().disarm_all();
+  for (const Family& family : families) {
+    SessionOptions options;
+    options.kind = family.kind;
+    options.distill.enabled = true;
+    SessionOptions recovering = options;
+    recovering.recovery.enabled = true;
+    recovering.distill.max_attempts = 4;
+    for (const std::size_t threads : {1, 4}) {
+      const std::string at = std::string(simd::path_name()) + " " +
+                             family.label + " pool=" + std::to_string(threads);
+      const std::uint64_t plain =
+          distilled_fingerprint(*family.oracle, options, threads);
+      EXPECT_EQ(plain, family.want.plain) << at << " plain " << std::hex
+                                          << plain;
+      ASSERT_EQ(FailpointRegistry::instance().arm_from_spec(
+                    "distill.accept=prob:1"),
+                1u);
+      const std::uint64_t recovered =
+          distilled_fingerprint(*family.oracle, recovering, threads);
+      FailpointRegistry::instance().disarm_all();
+      EXPECT_EQ(recovered, family.want.recovered)
+          << at << " recovered " << std::hex << recovered;
     }
   }
 }

@@ -1,6 +1,5 @@
 // Serving layer (DESIGN.md §2 convention 13): fingerprint stability,
-// canonical config round-trip, registry LRU/poisoned-replacement
-// semantics, coalesced draw bit-identity vs. per-request serial draws,
+// canonical config round-trip, registry LRU semantics, coalesced draw bit-identity vs. per-request serial draws,
 // admission control, and wire-protocol fuzz (arbitrary bytes produce a
 // typed ProtocolError or a parsed request — never a crash).
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include <variant>
 #include <vector>
 
-#include "dpp/feature_oracle.h"
 #include "dpp/symmetric_oracle.h"
 #include "linalg/factory.h"
 #include "parallel/execution.h"
@@ -28,7 +26,6 @@
 #include "serving/registry.h"
 #include "serving/server.h"
 #include "support/error.h"
-#include "support/failpoint.h"
 #include "support/random.h"
 #include "test_util.h"
 
@@ -91,7 +88,6 @@ TEST(ServingValidate, RecoveryOptionsRejectSilentNoOps) {
         << error.what();
   }
   recovery.max_retries = 2;
-  recovery.degrade_proposal = false;
   recovery.degrade_undistilled = false;
   recovery.degrade_reference = false;
   EXPECT_THROW(recovery.validate(), InvalidArgument);
@@ -114,9 +110,6 @@ TEST(ServingValidate, SessionOptionsNameTheOffendingField) {
   }
   options = {};
   options.entropic.failure_prob = 1.5;
-  EXPECT_THROW(options.validate(), InvalidArgument);
-  options = {};
-  options.distill.persistent_proposal = true;  // without distill.enabled
   EXPECT_THROW(options.validate(), InvalidArgument);
   options = {};
   options.distill.enabled = true;
@@ -304,54 +297,6 @@ TEST(ServingRegistry, FactoryExceptionLeavesRegistryUnchanged) {
                InvalidArgument);
   EXPECT_EQ(registry.stats().sessions, 0u);
   EXPECT_EQ(registry.lru_order().size(), 0u);
-}
-
-class ServingFaultTest : public ::testing::Test {
- protected:
-  void SetUp() override { FailpointRegistry::instance().disarm_all(); }
-  void TearDown() override { FailpointRegistry::instance().disarm_all(); }
-};
-
-TEST_F(ServingFaultTest, PoisonedSessionIsReplacedNotReturned) {
-  RandomStream setup(616007);
-  const Matrix features = random_gaussian(64, 4, setup);
-  const auto factory = [features = std::make_shared<const Matrix>(
-                            features)]() -> std::unique_ptr<CountingOracle> {
-    return std::make_unique<FeatureKdppOracle>(*features, 3);
-  };
-  SessionOptions options;
-  options.distill.enabled = true;
-  options.distill.persistent_proposal = true;
-  options.distill.refresh_interval = 1;  // revalidate every pool
-  SessionRegistry registry;
-  const KernelFingerprint key{616007, 42};
-  const auto first = registry.acquire(key, options, 1 << 12, factory);
-  ASSERT_NE(first, nullptr);
-  const std::uint64_t first_epoch = first->session().epoch();
-  // Poison the resident session: forced revalidation drift, no recovery.
-  ASSERT_GT(FailpointRegistry::instance().arm_from_spec(
-                "distill.revalidate=prob:1"),
-            0u);
-  RandomStream rng(616008);
-  EXPECT_THROW((void)first->session().draw(rng), ProposalDriftError);
-  ASSERT_TRUE(first->session().health().poisoned);
-  FailpointRegistry::instance().disarm_all();
-  // Next acquire replaces in place: fresh entry, strictly newer epoch,
-  // never the poisoned session.
-  const auto second = registry.acquire(key, options, 1 << 12, factory);
-  ASSERT_NE(second, nullptr);
-  EXPECT_NE(second.get(), first.get());
-  EXPECT_FALSE(second->session().health().poisoned);
-  EXPECT_GT(second->session().epoch(), first_epoch);
-  EXPECT_EQ(second->session().health().session_epoch,
-            second->session().epoch());
-  EXPECT_NO_THROW((void)second->session().draw(rng));
-  const auto stats = registry.stats();
-  EXPECT_EQ(stats.poisoned_replacements, 1u);
-  EXPECT_EQ(stats.sessions, 1u);
-  // The in-flight holder keeps the poisoned entry alive (shared_ptr),
-  // but the registry only ever hands out the replacement.
-  EXPECT_EQ(registry.peek(key), second);
 }
 
 TEST(ServingRegistry, SessionEpochsAreMonotone) {

@@ -1,8 +1,8 @@
 // Spanning-tree DPP via transfer currents (src/planar/transfer_current):
 // projection-kernel structure, matrix-tree counts, and marginals against
 // brute-force tree enumeration; the uniform-spanning-tree law through
-// the session layer (plain and distilled, per-draw and persistent
-// proposal) against enumeration with the usual chi-square/TV harness.
+// the session layer (plain and distilled) against enumeration with the
+// usual chi-square/TV harness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -132,12 +132,7 @@ TEST(SpanningTreeStatTest, SessionDrawsAreUniformOverTrees) {
   SessionOptions distilled;
   distilled.distill.enabled = true;
   distilled.distill.candidate_budget = 48;
-  SessionOptions persistent = distilled;
-  persistent.distill.persistent_proposal = true;
-  // Smallest domain validate() admits (k = 5 edges per tree), still well
-  // below the edge count — forces the tail fallback.
-  persistent.distill.sparsified_domain = 5;
-  const SessionOptions variants[] = {plain, distilled, persistent};
+  const SessionOptions variants[] = {plain, distilled};
 
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
