@@ -152,14 +152,12 @@ void run_config(const CountingOracle& oracle, const ThroughputConfig& config,
          JsonSeries::number("speedup", vs_pool1, 1),
          JsonSeries::number("speedup_vs_condition", vs_condition, 2),
          JsonSeries::number("spectral_refreshes", refreshes[p]),
-         // Session-lifetime guard/degradation counters (convention 12):
-         // non-identity informational fields for compare_bench.py, and a
-         // cheap sentinel that the bench ran failure-free (all 0 unless a
-         // PARDPP_FAILPOINTS schedule was armed under the bench).
-         JsonSeries::number("retries", commit_session.health().retries),
-         JsonSeries::number("degraded_draws",
-                            commit_session.health().degraded_undistilled +
-                                commit_session.health().degraded_reference),
+         // Session-lifetime guard-failure counter (convention 12): a
+         // non-identity informational field for compare_bench.py, and a
+         // cheap sentinel that the bench ran failure-free (0 unless a
+         // PARDPP_FAILPOINTS schedule was armed under the bench). The
+         // session runs with recovery and distillation off, so it never
+         // retries or degrades.
          JsonSeries::number("guard_failures",
                             commit_session.health().failures),
          JsonSeries::number("condition_baseline_ms", reference_ms, 3),

@@ -80,11 +80,9 @@ NON_IDENTITY_FIELDS = set(TIME_FIELDS) | set(HOST_FIELDS) | {
     "pram_depth",
     "queries_per_wave",
     "q_per_wave",
-    # Session failure/recovery counters (convention 12): informational
-    # health telemetry, all zero unless a PARDPP_FAILPOINTS schedule was
-    # armed for the run — never part of a record's identity.
-    "retries",
-    "degraded_draws",
+    # Session guard-failure counter (convention 12): informational health
+    # telemetry, zero unless a PARDPP_FAILPOINTS schedule was armed for
+    # the run — never part of a record's identity.
     "guard_failures",
     # Serving-layer telemetry (convention 13, EXP-SRV): batch shapes and
     # registry counters are measurements of one run's scheduling, never

@@ -283,44 +283,24 @@ class CompareBenchTest(unittest.TestCase):
         self.assertEqual(self.compare(exploded, slower), 1)
 
     def test_guard_counters_are_informational_not_identity(self):
-        # Session health counters (retries / degraded_draws /
-        # guard_failures) differ between a clean baseline and a
-        # fault-injection run. The records must still pair up — a
-        # degraded run is the same experiment, not an orphan — and the
-        # counter deltas themselves must not gate.
+        # The session's guard_failures counter differs between a clean
+        # baseline and a fault-injection run. The records must still pair
+        # up — a faulted run is the same experiment, not an orphan — and
+        # the counter deltas themselves must not gate.
         baseline = self.write_dir(
-            "baseline",
-            [
-                record(
-                    100.0,
-                    HOST_A,
-                    retries=0,
-                    degraded_draws=0,
-                    guard_failures=0,
-                )
-            ],
+            "baseline", [record(100.0, HOST_A, guard_failures=0)]
         )
         current = self.write_dir(
-            "current",
-            [
-                record(
-                    101.0,
-                    HOST_A,
-                    retries=7,
-                    degraded_draws=5,
-                    guard_failures=2,
-                )
-            ],
+            "current", [record(101.0, HOST_A, guard_failures=2)]
         )
-        for field in ("retries", "degraded_draws", "guard_failures"):
-            self.assertIn(field, compare_bench.NON_IDENTITY_FIELDS)
+        self.assertIn("guard_failures", compare_bench.NON_IDENTITY_FIELDS)
         # Paired and within threshold: clean pass. Were the counters
         # identity, the baseline record would be orphaned and the new
         # record informational — masking a real timing regression below.
         self.assertEqual(self.compare(baseline, current), 0)
         regressed = self.write_dir(
             "regressed",
-            [record(200.0, HOST_A, retries=7, degraded_draws=5)],
+            [record(200.0, HOST_A, guard_failures=2)],
         )
         self.assertEqual(self.compare(baseline, regressed), 1)
 

@@ -22,9 +22,9 @@
 //     machines. All trials of a wave execute concurrently; the accepted
 //     trial is the lowest-index acceptance, which is invariant under the
 //     wave width, so early exit never breaks determinism.
-//  3. Nested rounds degenerate to serial execution on the worker they
-//     occupy (see the nesting guard in parallel_for.h), so oracles may
-//     parallelize internally without deadlocking the pool.
+//  3. Nested rounds run serially on the thread that reached them (see
+//     the nesting guard in parallel_for.h), so a round's work never
+//     depends on which thread ran it.
 //  4. Fan-out follows *physical* concurrency: a pool wider than the host's
 //     core count adds speculative work and dispatch cost without adding
 //     parallel execution, so `can_fan_out()`/`wave_width()` clamp to

@@ -1,68 +1,31 @@
-// parallel_for / parallel_invoke helpers on top of ThreadPool.
+// parallel_for helpers on top of ThreadPool::run.
 //
 // These provide the fork-join structure of one logical PRAM round: a batch
-// of independent bodies executed concurrently, with exceptions propagated
-// to the caller through futures (no detached work, no shared mutable state
+// of independent bodies executed concurrently, the caller among the
+// threads running them, with the lowest-index exception rethrown once
+// every body has finished (no detached work, no shared mutable state
 // beyond what the caller partitions explicitly).
 #pragma once
 
-#include <exception>
-#include <functional>
-#include <future>
-#include <vector>
+#include <algorithm>
+#include <cstddef>
 
 #include "parallel/thread_pool.h"
-#include "support/failpoint.h"
 
 namespace pardpp {
 
-namespace detail {
-
-/// Set while the current thread is executing a parallel_for body on a pool
-/// worker. Nested parallel_for calls degenerate to serial loops instead of
-/// re-submitting to the pool: a worker that blocks on futures of tasks the
-/// exhausted pool can never start would deadlock (recursive samplers, and
-/// oracles that parallelize internally underneath a parallel sampler round,
-/// both hit this).
-inline thread_local bool in_parallel_worker = false;
-
-struct ParallelWorkerScope {
-  bool previous;
-  ParallelWorkerScope() noexcept : previous(in_parallel_worker) {
-    in_parallel_worker = true;
-  }
-  ~ParallelWorkerScope() { in_parallel_worker = previous; }
-};
-
-/// Waits for every future, then rethrows the first stored exception.
-/// Rethrowing before the join would unwind caller state (the body
-/// closure, its captured scratch) while later chunks still execute it.
-inline void join_all(std::vector<std::future<void>>& futures) {
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
-}  // namespace detail
-
 /// True when called from inside a parallel_for body; nested rounds run
-/// serially on the occupied worker.
+/// serially on the thread that reached them.
 [[nodiscard]] inline bool in_parallel_region() noexcept {
   return detail::in_parallel_worker;
 }
 
-/// Runs fn(lo, hi) over a partition of [begin, end) on the pool, one task
+/// Runs fn(lo, hi) over a partition of [begin, end) on the pool, one body
 /// per part, blocking until all parts complete. The chunk callback is the
 /// amortization hook: per-chunk setup (scratch buffers, shared
-/// factorizations) is paid once per task instead of once per index.
+/// factorizations) is paid once per chunk instead of once per index.
 /// Degenerates to a single fn(begin, end) call on the calling thread when
-/// the pool has a single worker or the call is nested.
+/// the pool has a single thread or the call is nested.
 template <typename ChunkFn>
 void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
                          ChunkFn&& fn, std::size_t grain = 1) {
@@ -77,29 +40,19 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
     return;
   }
   const std::size_t chunk_size = (count + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
+  auto body = [&](std::size_t c) {
     const std::size_t lo = begin + c * chunk_size;
-    if (lo >= end) break;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    futures.push_back(pool.submit([lo, hi, &fn] {
-      const detail::ParallelWorkerScope scope;
-      if (failpoint("parallel.task"))
-        throw Error("parallel_for: injected task failure "
-                    "[failpoint parallel.task]");
-      fn(lo, hi);
-    }));
-  }
-  detail::join_all(futures);
+    fn(lo, std::min(end, lo + chunk_size));
+  };
+  pool.run((count + chunk_size - 1) / chunk_size, body);
 }
 
 /// Runs fn(i) for i in [begin, end) on the pool, blocking until all bodies
 /// complete. Bodies must write to disjoint state. `grain` is the minimum
-/// number of indices per dispatched task (cheap bodies should pass a large
-/// grain so dispatch overhead amortizes). Degenerates to a serial loop
-/// when the range is below the grain, the pool has a single worker, or the
-/// call is already nested inside another parallel_for body.
+/// number of indices per chunk (cheap bodies should pass a large grain so
+/// dispatch overhead amortizes). Degenerates to a serial loop when the
+/// range is below the grain, the pool has a single thread, or the call is
+/// already nested inside another parallel_for body.
 template <typename Fn>
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   Fn&& fn, std::size_t grain = 1) {
@@ -109,35 +62,6 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
         for (std::size_t i = lo; i < hi; ++i) fn(i);
       },
       grain);
-}
-
-/// Convenience overload on the shared pool.
-template <typename Fn>
-void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
-  parallel_for(ThreadPool::shared(), begin, end, std::forward<Fn>(fn));
-}
-
-/// Runs a set of independent thunks concurrently and waits for all of them.
-/// Degenerates to serial execution when nested inside a parallel_for body
-/// (same deadlock-avoidance rationale as above).
-inline void parallel_invoke(ThreadPool& pool,
-                            std::vector<std::function<void()>> thunks) {
-  if (pool.size() <= 1 || detail::in_parallel_worker) {
-    for (auto& thunk : thunks) thunk();
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(thunks.size());
-  for (auto& thunk : thunks) {
-    futures.push_back(pool.submit([thunk = std::move(thunk)] {
-      const detail::ParallelWorkerScope scope;
-      if (failpoint("parallel.task"))
-        throw Error("parallel_invoke: injected task failure "
-                    "[failpoint parallel.task]");
-      thunk();
-    }));
-  }
-  detail::join_all(futures);
 }
 
 }  // namespace pardpp

@@ -13,6 +13,9 @@ namespace pardpp {
 
 namespace {
 
+// Components at or below this size are finished sequentially.
+constexpr std::size_t kBaseCutoff = 6;
+
 // Thread-safe accumulation for the recursive sampler.
 struct SharedState {
   const PlanarGraph* graph = nullptr;
@@ -115,11 +118,10 @@ void finish_sequentially(SharedState& state, std::vector<int> alive,
 
 // Theorem 11 recursion on one connected even component.
 PramStats sample_component(SharedState& state, std::vector<int> alive,
-                           RandomStream rng,
-                           const SeparatorSamplerOptions& options) {
+                           RandomStream rng) {
   PramStats pram;
   if (alive.empty()) return pram;
-  if (alive.size() <= options.base_cutoff) {
+  if (alive.size() <= kBaseCutoff) {
     finish_sequentially(state, std::move(alive), rng, pram);
     return pram;
   }
@@ -150,16 +152,10 @@ PramStats sample_component(SharedState& state, std::vector<int> alive,
   child_rngs.reserve(comps.size());
   for (std::size_t c = 0; c < comps.size(); ++c)
     child_rngs.push_back(rng.split());
-  if (options.parallel_components && comps.size() > 1) {
-    parallel_for(ThreadPool::shared(), 0, comps.size(), [&](std::size_t c) {
-      child_stats[c] = sample_component(state, std::move(comps[c]),
-                                        child_rngs[c], options);
-    });
-  } else {
-    for (std::size_t c = 0; c < comps.size(); ++c)
-      child_stats[c] = sample_component(state, std::move(comps[c]),
-                                        child_rngs[c], options);
-  }
+  parallel_for(ThreadPool::shared(), 0, comps.size(), [&](std::size_t c) {
+    child_stats[c] =
+        sample_component(state, std::move(comps[c]), child_rngs[c]);
+  });
   pram.append_parallel(child_stats);
   return pram;
 }
@@ -199,8 +195,8 @@ MatchingResult sample_matching_sequential(const PlanarGraph& g,
 }
 
 MatchingResult sample_matching_separator(const PlanarGraph& g,
-                                         RandomStream& rng, PramLedger* ledger,
-                                         const SeparatorSamplerOptions& options) {
+                                         RandomStream& rng,
+                                         PramLedger* ledger) {
   MatchingResult result;
   if (g.num_vertices() == 0) return result;
   check_arg(g.components().size() <= 1,
@@ -214,7 +210,7 @@ MatchingResult sample_matching_separator(const PlanarGraph& g,
   std::vector<int> alive(g.num_vertices());
   for (std::size_t i = 0; i < alive.size(); ++i) alive[i] = static_cast<int>(i);
   const PramStats pram =
-      sample_component(state, std::move(alive), rng.split(), options);
+      sample_component(state, std::move(alive), rng.split());
   result.matching = canonical_matching(std::move(state.matching));
   result.diag = state.diag;
   result.diag.pram = pram;

@@ -14,7 +14,6 @@
 // components (see matching_count.h).
 #pragma once
 
-#include "parallel/thread_pool.h"
 #include "planar/enumerate.h"
 #include "planar/graph.h"
 #include "planar/matching_count.h"
@@ -33,16 +32,9 @@ struct MatchingResult {
 [[nodiscard]] MatchingResult sample_matching_sequential(
     const PlanarGraph& g, RandomStream& rng, PramLedger* ledger = nullptr);
 
-struct SeparatorSamplerOptions {
-  /// Components at or below this size are finished sequentially.
-  std::size_t base_cutoff = 6;
-  /// Run sibling components on the shared thread pool.
-  bool parallel_components = true;
-};
-
 /// Exact uniform perfect matching via separator recursion (Theorem 11).
+/// Sibling components recurse in parallel on the shared thread pool.
 [[nodiscard]] MatchingResult sample_matching_separator(
-    const PlanarGraph& g, RandomStream& rng, PramLedger* ledger = nullptr,
-    const SeparatorSamplerOptions& options = {});
+    const PlanarGraph& g, RandomStream& rng, PramLedger* ledger = nullptr);
 
 }  // namespace pardpp

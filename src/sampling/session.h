@@ -196,8 +196,8 @@ class SamplerSession {
   /// stream forked from `rng` by index (the caller's stream advances by
   /// exactly one split), so the result sequence is a function of the seed
   /// alone — never of the pool size or the chunk layout. A throwing draw
-  /// propagates exactly one typed exception (the first, in completion
-  /// order) after all in-flight chunks drain; the session stays reusable.
+  /// propagates exactly one typed exception (the lowest throwing
+  /// chunk's) after every chunk has run; the session stays reusable.
   [[nodiscard]] std::vector<SampleResult> draw_many(
       std::size_t count, RandomStream& rng, const ExecutionContext& ctx);
 

@@ -52,9 +52,9 @@ struct SessionConfig {
 
 /// Server-side knobs: worker pool, registry budget, admission control.
 struct ServingConfig {
-  /// Worker threads for the shared ExecutionContext (0 = physical
-  /// concurrency). One pool serves every session — coalesced batches
-  /// fan out across it.
+  /// Threads of the shared ExecutionContext's pool, the dispatcher
+  /// included (0 = physical concurrency). One pool serves every session
+  /// — coalesced batches fan out across it.
   std::size_t pool_threads = 0;
   /// Registry LRU budget: least-recently-used sessions are evicted once
   /// the sum of resident-byte estimates exceeds this.

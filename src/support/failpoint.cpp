@@ -70,6 +70,11 @@ FailpointScope::~FailpointScope() { tls_scope = previous_; }
 
 FailpointScope* FailpointScope::current() noexcept { return tls_scope; }
 
+FailpointScope* FailpointScope::exchange_current(
+    FailpointScope* scope) noexcept {
+  return std::exchange(tls_scope, scope);
+}
+
 std::uint64_t FailpointScope::next_hit(const void* site) {
   for (auto& [key, count] : hits_)
     if (key == site) return ++count;

@@ -77,6 +77,10 @@ class FailpointScope {
 
   /// The scope active on the calling thread (innermost), or nullptr.
   [[nodiscard]] static FailpointScope* current() noexcept;
+  /// Makes `scope` the calling thread's innermost scope and returns the
+  /// one it replaces. ThreadPool::run detaches the scope (nullptr) around
+  /// the bodies a thread runs, so no body inherits its runner's scope.
+  static FailpointScope* exchange_current(FailpointScope* scope) noexcept;
 
   [[nodiscard]] std::uint64_t token() const noexcept { return token_; }
   /// Increments and returns this scope's 1-based hit ordinal for `site`

@@ -191,9 +191,8 @@ TEST(ParallelStress, NestedParallelForDegeneratesInsteadOfDeadlocking) {
   std::atomic<int> bodies{0};
   parallel_for(pool, 0, 8, [&](std::size_t) {
     EXPECT_TRUE(in_parallel_region());
-    // A nested round must run inline on the occupied worker: with both
-    // workers blocked inside the outer round, re-submitting would
-    // deadlock.
+    // A nested round must run inline on the thread that reached it, so
+    // a round's work never depends on which thread ran it.
     parallel_for(pool, 0, 8, [&](std::size_t) { ++bodies; });
   });
   EXPECT_EQ(bodies.load(), 64);

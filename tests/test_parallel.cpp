@@ -4,37 +4,17 @@
 #include <atomic>
 #include <algorithm>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <numeric>
 
 #include "parallel/parallel_for.h"
 #include "parallel/pram.h"
 #include "parallel/thread_pool.h"
+#include "support/failpoint.h"
 
 namespace pardpp {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i)
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(1);
-  auto future = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ReturnsValues) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { return 42; });
-  EXPECT_EQ(future.get(), 42);
-}
 
 TEST(ParallelFor, CoversFullRangeExactlyOnce) {
   ThreadPool pool(3);
@@ -93,23 +73,14 @@ TEST(ParallelFor, MatchesSerialSum) {
   EXPECT_DOUBLE_EQ(total, 0.5 * 999.0 * 1000.0 / 2.0);
 }
 
-TEST(ParallelInvoke, RunsAllThunks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::function<void()>> thunks;
-  for (int i = 0; i < 10; ++i) thunks.push_back([&counter] { ++counter; });
-  parallel_invoke(pool, std::move(thunks));
-  EXPECT_EQ(counter.load(), 10);
-}
-
 // ---- exception propagation out of parallel bodies (convention 12) ----
 //
-// The failure-atomicity contract the sampling stack builds on: the first
-// exception (in completion order) wins, every in-flight worker drains
-// before the rethrow, the pool survives, and nested parallel sections
-// propagate through the nesting guard without deadlock. The stress
-// variants are the TSan regression surface — run the suite under
-// -fsanitize=thread to certify the drain path.
+// The failure-atomicity contract the sampling stack builds on: every body
+// of a round runs, the exception of the lowest throwing index is rethrown
+// after the last body finishes, the pool survives, and nested parallel
+// sections propagate through the nesting guard. The stress variants are
+// the TSan regression surface — run the suite under -fsanitize=thread to
+// certify the drain path.
 
 TEST(ParallelFor, FirstExceptionWinsAndRangeStopsCleanly) {
   ThreadPool pool(4);
@@ -168,20 +139,6 @@ TEST(ParallelFor, NestedThrowPropagatesThroughTheNestingGuard) {
   EXPECT_EQ(counter.load(), 32);
 }
 
-TEST(ParallelInvoke, ThrowingThunkPropagatesAfterAllDrain) {
-  ThreadPool pool(2);
-  std::atomic<int> finished{0};
-  std::vector<std::function<void()>> thunks;
-  for (int i = 0; i < 8; ++i) {
-    thunks.push_back([&finished, i] {
-      if (i == 4) throw Error("invoke boom");
-      ++finished;
-    });
-  }
-  EXPECT_THROW(parallel_invoke(pool, std::move(thunks)), Error);
-  EXPECT_EQ(finished.load(), 7) << "non-throwing thunks must all drain";
-}
-
 TEST(ParallelFor, ThrowStressSharedPool) {
   // TSan stress: repeated throwing parallel sections on one shared pool,
   // alternating with clean sections, exercising the drain/rethrow path
@@ -201,6 +158,67 @@ TEST(ParallelFor, ThrowStressSharedPool) {
     parallel_for(pool, 0, 64, [&](std::size_t) { ++counter; });
     ASSERT_EQ(counter.load(), 64) << "iteration " << iteration;
   }
+}
+
+// ---- ThreadPool::run: the one fork-join primitive ----
+
+TEST(ThreadPoolRun, BodiesSeeParallelRegionAndNoInheritedFailpointScope) {
+  const FailpointScope scope(7);
+  std::atomic<int> wrong_state{0};
+  std::atomic<int> caller_bodies{0};
+  const auto caller = std::this_thread::get_id();
+  auto body = [&](std::size_t) {
+    if (!in_parallel_region() || FailpointScope::current() != nullptr)
+      ++wrong_state;
+    if (std::this_thread::get_id() == caller) ++caller_bodies;
+  };
+  // A one-thread pool has no workers: the caller runs every body.
+  ThreadPool alone(1);
+  alone.run(16, body);
+  EXPECT_EQ(caller_bodies.load(), 16);
+  ThreadPool pool(4);
+  pool.run(256, body);
+  EXPECT_EQ(wrong_state.load(), 0);
+  EXPECT_FALSE(in_parallel_region());
+  EXPECT_EQ(FailpointScope::current(), &scope);
+}
+
+TEST(ThreadPoolRun, LowestThrowingIndexIsRethrownAfterEveryBodyRuns) {
+  ThreadPool pool(4);
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    std::atomic<int> ran{0};
+    auto body = [&](std::size_t i) {
+      ++ran;
+      if (i == 3) throw Error("body 3");
+      if (i == 200) throw Error("body 200");
+    };
+    try {
+      pool.run(256, body);
+      FAIL() << "expected a body's Error to propagate";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "body 3") << "repeat " << repeat;
+    }
+    EXPECT_EQ(ran.load(), 256) << "repeat " << repeat;
+  }
+}
+
+TEST(ThreadPoolRun, ConcurrentRoundsFromTwoThreadsRunEveryIndexOnce) {
+  // TSan surface: two callers publish rounds on one pool at once.
+  ThreadPool pool(4);
+  std::atomic<int> miscounts{0};
+  auto fan_out = [&] {
+    std::vector<std::atomic<int>> hits(300);
+    for (int iteration = 0; iteration < 100; ++iteration) {
+      for (auto& h : hits) h = 0;
+      parallel_for(pool, 0, hits.size(), [&](std::size_t i) { ++hits[i]; });
+      for (const auto& h : hits)
+        if (h.load() != 1) ++miscounts;
+    }
+  };
+  std::thread other(fan_out);
+  fan_out();
+  other.join();
+  EXPECT_EQ(miscounts.load(), 0);
 }
 
 TEST(Pram, SequentialRoundsAccumulateDepth) {

@@ -260,8 +260,9 @@ TEST_F(RecoveryTest, DrawManyPropagatesExactlyOneTypedException) {
   const ExecutionContext ctx(&pool, nullptr);
   arm("symmetric.commit.pivot=prob:1");
   RandomStream rng(99114);
-  // Every chunk's first draw throws; join_all drains all workers and
-  // rethrows the first typed error — never terminate, never a hang.
+  // Every chunk's first draw throws; the round runs every chunk and
+  // rethrows the lowest chunk's typed error — never terminate, never a
+  // hang.
   EXPECT_THROW((void)session.draw_many(12, rng, ctx), NumericalError);
   const SessionHealth health = session.health();
   EXPECT_GE(health.failures, 1u);
