@@ -69,7 +69,7 @@ int main() {
     for (int t = 0; t < trials; ++t) {
       try {
         RandomStream run = rng.split();
-        const auto result = sample_entropic(oracle, run, nullptr, options);
+        const auto result = sample_entropic(oracle, run, {}, options);
         counts[indexer.rank(result.items)] += 1.0;
         proposals += result.diag.proposals;
         accepted += result.diag.accepted_batches;

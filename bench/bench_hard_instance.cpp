@@ -127,7 +127,7 @@ void depth_scaling() {
     options.cap_slack = 3.0;
     options.machine_cap = 1u << 18;
     Timer timer;
-    const auto result = sample_entropic(oracle, rng, nullptr, options);
+    const auto result = sample_entropic(oracle, rng, {}, options);
     const double ms = timer.millis();
     const std::size_t batch = std::max<std::size_t>(
         1, static_cast<std::size_t>(

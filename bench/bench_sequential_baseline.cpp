@@ -11,6 +11,7 @@
 #include "dpp/general_oracle.h"
 #include "dpp/symmetric_oracle.h"
 #include "linalg/factory.h"
+#include "parallel/execution.h"
 #include "parallel/pram.h"
 #include "sampling/sequential.h"
 #include "support/random.h"
@@ -36,7 +37,8 @@ int main() {
     const SymmetricKdppOracle oracle(l, k, false);
     PramLedger ledger;
     Timer timer;
-    const auto result = sample_sequential(oracle, rng, &ledger);
+    const auto result = sample_sequential(oracle, rng,
+                                          ExecutionContext::serial(&ledger));
     table.add_row({"symmetric-kdpp", fmt_int(n), fmt_int(k),
                    fmt_int(result.diag.rounds),
                    fmt_int(result.diag.oracle_calls), fmt(timer.millis(), 1)});
@@ -48,7 +50,8 @@ int main() {
     const GeneralDppOracle oracle(l, k, false);
     PramLedger ledger;
     Timer timer;
-    const auto result = sample_sequential(oracle, rng, &ledger);
+    const auto result = sample_sequential(oracle, rng,
+                                          ExecutionContext::serial(&ledger));
     table.add_row({"nonsymmetric-kdpp", fmt_int(n), fmt_int(k),
                    fmt_int(result.diag.rounds),
                    fmt_int(result.diag.oracle_calls), fmt(timer.millis(), 1)});
@@ -61,7 +64,8 @@ int main() {
     const GeneralDppOracle oracle(l, part_of, {4, 3}, false);
     PramLedger ledger;
     Timer timer;
-    const auto result = sample_sequential(oracle, rng, &ledger);
+    const auto result = sample_sequential(oracle, rng,
+                                          ExecutionContext::serial(&ledger));
     table.add_row({"partition-dpp(4+3)", fmt_int(n), fmt_int(std::size_t{7}),
                    fmt_int(result.diag.rounds),
                    fmt_int(result.diag.oracle_calls), fmt(timer.millis(), 1)});
@@ -70,7 +74,8 @@ int main() {
     const HardInstanceOracle oracle(512, 128);
     PramLedger ledger;
     Timer timer;
-    const auto result = sample_sequential(oracle, rng, &ledger);
+    const auto result = sample_sequential(oracle, rng,
+                                          ExecutionContext::serial(&ledger));
     table.add_row({"hard-instance", fmt_int(std::size_t{512}),
                    fmt_int(std::size_t{128}), fmt_int(result.diag.rounds),
                    fmt_int(result.diag.oracle_calls), fmt(timer.millis(), 1)});
@@ -79,7 +84,8 @@ int main() {
     const UniformKSubsetOracle oracle(1024, 256);
     PramLedger ledger;
     Timer timer;
-    const auto result = sample_sequential(oracle, rng, &ledger);
+    const auto result = sample_sequential(oracle, rng,
+                                          ExecutionContext::serial(&ledger));
     table.add_row({"uniform-k-subset", fmt_int(std::size_t{1024}),
                    fmt_int(std::size_t{256}), fmt_int(result.diag.rounds),
                    fmt_int(result.diag.oracle_calls), fmt(timer.millis(), 1)});

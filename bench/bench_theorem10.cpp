@@ -43,12 +43,14 @@ void depth_scaling() {
 
     PramLedger seq_ledger;
     Timer seq_timer;
-    const auto seq = sample_sequential(oracle, rng, &seq_ledger);
+    const auto seq = sample_sequential(oracle, rng,
+                                       ExecutionContext::serial(&seq_ledger));
     const double seq_ms = seq_timer.millis();
 
     PramLedger batch_ledger;
     Timer batch_timer;
-    const auto batch = sample_batched(oracle, rng, &batch_ledger);
+    const auto batch = sample_batched(oracle, rng,
+                                      ExecutionContext::serial(&batch_ledger));
     const double batch_ms = batch_timer.millis();
 
     const double bound = 2.0 * std::sqrt(static_cast<double>(k)) + 2.0;

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "parallel/execution.h"
 #include "parallel/pram.h"
 #include "planar/grid.h"
 #include "planar/matching_count.h"
@@ -36,7 +37,8 @@ void hexagon_series() {
     PramLedger sep_ledger;
     Timer timer;
     RandomStream run_rng = rng.split();
-    (void)sample_matching_separator(g, run_rng, &sep_ledger);
+    (void)sample_matching_separator(
+        g, run_rng, ExecutionContext::on_shared_pool(&sep_ledger));
     const double sep_ms = timer.millis();
     const auto n = static_cast<double>(g.num_vertices());
     table.add_row({"H(" + std::to_string(m) + ")",
@@ -68,13 +70,15 @@ int main() {
     PramLedger seq_ledger;
     Timer seq_timer;
     RandomStream seq_rng = rng.split();
-    (void)sample_matching_sequential(g, seq_rng, &seq_ledger);
+    (void)sample_matching_sequential(g, seq_rng,
+                                     ExecutionContext::serial(&seq_ledger));
     const double seq_ms = seq_timer.millis();
 
     PramLedger sep_ledger;
     Timer sep_timer;
     RandomStream sep_rng = rng.split();
-    (void)sample_matching_separator(g, sep_rng, &sep_ledger);
+    (void)sample_matching_separator(
+        g, sep_rng, ExecutionContext::on_shared_pool(&sep_ledger));
     const double sep_ms = sep_timer.millis();
 
     const double sep_depth = sep_ledger.stats().depth;

@@ -51,7 +51,7 @@ int main() {
     options.eps = eps;
     Timer timer;
     RandomStream run_rng = rng.split();
-    const auto result = sample_filtering_dpp(l, run_rng, nullptr, options);
+    const auto result = sample_filtering_dpp(l, run_rng, {}, options);
     const double ms = timer.millis();
     const double predicted =
         alpha > 1.0 ? 1.0
@@ -120,7 +120,8 @@ int main() {
     for (const double v : spec.spectrum) sigma = std::max(sigma, v);
     PramLedger ledger;
     RandomStream run = rng3.split();
-    const auto result = sample_dpp(l, true, run, &ledger);
+    const auto result = sample_dpp(l, true, run,
+                                   ExecutionContext::serial(&ledger));
     table3.add_row({spec.name, fmt(std::sqrt(trace), 2),
                     fmt(sigma * std::sqrt(48.0), 2), result.strategy_used,
                     fmt(ledger.stats().depth, 0),

@@ -50,7 +50,7 @@ int main() {
       options.cap_slack = 3.0;
       RandomStream ent_rng = rng.split();
       Timer ent_timer;
-      const auto ent = sample_entropic(oracle, ent_rng, nullptr, options);
+      const auto ent = sample_entropic(oracle, ent_rng, {}, options);
       const double ent_ms = ent_timer.millis();
       const std::size_t batch = std::max<std::size_t>(
           1, static_cast<std::size_t>(

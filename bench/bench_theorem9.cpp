@@ -60,7 +60,7 @@ int main() {
     options.cap_slack = 3.5;
     RandomStream ent_rng = rng.split();
     Timer timer;
-    const auto ent = sample_entropic(oracle, ent_rng, nullptr, options);
+    const auto ent = sample_entropic(oracle, ent_rng, {}, options);
     const double ent_ms = timer.millis();
 
     // Verify the partition budgets on the sample.

@@ -36,7 +36,7 @@ std::vector<int> sample_unconstrained(const Matrix& l, bool symmetric,
   const GeneralDppOracle oracle(l, k, false);
   EntropicOptions options;
   options.cap_slack = 4.0;
-  return sample_entropic(oracle, rng, nullptr, options).items;
+  return sample_entropic(oracle, rng, {}, options).items;
 }
 
 void report(const char* label, const Matrix& l, bool symmetric,

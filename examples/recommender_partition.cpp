@@ -56,7 +56,7 @@ int main() {
   std::printf("catalog: %zu items (%zu per category), slate quota 3+2+1\n\n",
               n, per_category);
   for (int slate_id = 0; slate_id < 3; ++slate_id) {
-    const auto slate = sample_entropic(oracle, rng, nullptr, options);
+    const auto slate = sample_entropic(oracle, rng, {}, options);
     std::printf("slate %d (%zu rounds, acceptance %.2f): ", slate_id + 1,
                 slate.diag.rounds, slate.diag.acceptance_rate());
     for (const int item : slate.items)
@@ -91,7 +91,7 @@ int main() {
   std::vector<int> previous;
   const int volume_trials = 20;
   for (int trial = 0; trial < volume_trials; ++trial) {
-    const auto slate = sample_entropic(oracle, rng, nullptr, options);
+    const auto slate = sample_entropic(oracle, rng, {}, options);
     mean_logvol += signed_log_det(l.principal(slate.items)).log_abs;
     if (!previous.empty()) {
       int common = 0;

@@ -192,20 +192,21 @@ int run_dpp(const CliOptions& options, const Matrix& l) {
   std::vector<double> freq(l.rows(), 0.0);
   for (int trial = 0; trial < options.trials; ++trial) {
     PramLedger ledger;
+    const auto ctx = ExecutionContext::serial(&ledger);
     SampleResult result;
     // The nonsymmetric families route through the entropic sampler
     // (the batched cap assumes a strongly Rayleigh symmetric target);
     // an explicit sequential request is honored on every family.
     switch (*requested) {
       case SamplerKind::kSequential:
-        result = sample_sequential(*oracle, rng, &ledger);
+        result = sample_sequential(*oracle, rng, ctx);
         break;
       case SamplerKind::kEntropic:
-        result = sample_entropic(*oracle, rng, &ledger);
+        result = sample_entropic(*oracle, rng, ctx);
         break;
       case SamplerKind::kBatched:
-        result = symmetric ? sample_batched(*oracle, rng, &ledger)
-                           : sample_entropic(*oracle, rng, &ledger);
+        result = symmetric ? sample_batched(*oracle, rng, ctx)
+                           : sample_entropic(*oracle, rng, ctx);
         break;
     }
     std::printf("sample %d (depth %.0f): ", trial,
@@ -416,7 +417,8 @@ int run_grid(const CliOptions& options) {
               options.rows, options.cols);
   for (int trial = 0; trial < options.trials; ++trial) {
     PramLedger ledger;
-    const auto result = sample_matching_separator(g, rng, &ledger);
+    const auto result = sample_matching_separator(
+        g, rng, ExecutionContext::on_shared_pool(&ledger));
     std::printf("matching %d (depth %.0f):", trial, ledger.stats().depth);
     for (const auto& [u, v] : result.matching)
       std::printf(" (%d,%d)", u, v);

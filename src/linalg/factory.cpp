@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/symmetric_eigen.h"
 #include "support/error.h"
 
 namespace pardpp {
@@ -106,14 +105,6 @@ Matrix kernel_with_spectrum(std::span<const double> spectrum,
   }
   // Exact symmetry despite roundoff.
   return k.symmetric_part();
-}
-
-Matrix scaled_to_spectral_norm(Matrix m, double target) {
-  check_arg(target > 0.0, "scaled_to_spectral_norm: target must be positive");
-  const double norm = spectral_norm_symmetric(m);
-  if (norm <= 0.0) return m;
-  m *= target / norm;
-  return m;
 }
 
 std::vector<int> random_partition(std::size_t n, std::size_t r,

@@ -48,10 +48,6 @@ namespace pardpp {
 [[nodiscard]] Matrix kernel_with_spectrum(std::span<const double> spectrum,
                                           RandomStream& rng);
 
-/// Rescales a symmetric PSD matrix so its largest eigenvalue equals
-/// `target` (no-op for the zero matrix).
-[[nodiscard]] Matrix scaled_to_spectral_norm(Matrix m, double target);
-
 /// Random balanced partition of {0..n-1} into r non-empty parts;
 /// part_of[i] in [0, r).
 [[nodiscard]] std::vector<int> random_partition(std::size_t n, std::size_t r,

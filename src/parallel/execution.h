@@ -55,7 +55,8 @@ class ExecutionContext {
   ExecutionContext(ThreadPool* pool, PramLedger* ledger) noexcept
       : pool_(pool), ledger_(ledger) {}
 
-  /// Serial context (the default for the legacy ledger-only entry points).
+  /// Serial context charging `ledger`. A default-constructed context is
+  /// serial with no ledger: the default of every sampler entry point.
   [[nodiscard]] static ExecutionContext serial(
       PramLedger* ledger = nullptr) noexcept {
     return {nullptr, ledger};
@@ -152,7 +153,7 @@ class ExecutionContext {
   /// machine count, not the physical worker count.
   void charge(std::size_t machines, std::size_t oracle_calls = 0,
               double depth_cost = 1.0) const {
-    charge_round(ledger_, machines, oracle_calls, depth_cost);
+    if (ledger_ != nullptr) ledger_->round(machines, oracle_calls, depth_cost);
   }
 
  private:

@@ -56,8 +56,8 @@ struct PramStats {
   }
 };
 
-/// Mutable ledger passed (optionally) through the samplers. A null ledger
-/// is always legal; the helpers below are no-ops on nullptr.
+/// Mutable ledger a sampler charges its rounds to, carried by the
+/// ExecutionContext (execution.h). A context without one charges nothing.
 class PramLedger {
  public:
   /// Charges one parallel round of `machines` independent unit-cost
@@ -86,12 +86,5 @@ class PramLedger {
  private:
   PramStats stats_;
 };
-
-/// No-op helpers so call sites can stay unconditional on a nullable ledger.
-inline void charge_round(PramLedger* ledger, std::size_t machines,
-                         std::size_t oracle_calls = 0,
-                         double depth_cost = 1.0) {
-  if (ledger != nullptr) ledger->round(machines, oracle_calls, depth_cost);
-}
 
 }  // namespace pardpp

@@ -14,6 +14,7 @@
 // components (see matching_count.h).
 #pragma once
 
+#include "parallel/execution.h"
 #include "planar/enumerate.h"
 #include "planar/graph.h"
 #include "planar/matching_count.h"
@@ -30,11 +31,13 @@ struct MatchingResult {
 /// Exact uniform perfect matching, sequential baseline. Throws
 /// SamplingFailure when the graph has no perfect matching.
 [[nodiscard]] MatchingResult sample_matching_sequential(
-    const PlanarGraph& g, RandomStream& rng, PramLedger* ledger = nullptr);
+    const PlanarGraph& g, RandomStream& rng, const ExecutionContext& ctx = {});
 
 /// Exact uniform perfect matching via separator recursion (Theorem 11).
-/// Sibling components recurse in parallel on the shared thread pool.
+/// Sibling components recurse in parallel on the context's pool; each
+/// child's stream is split before the fan-out, so a fixed seed yields
+/// the identical matching at every pool size.
 [[nodiscard]] MatchingResult sample_matching_separator(
-    const PlanarGraph& g, RandomStream& rng, PramLedger* ledger = nullptr);
+    const PlanarGraph& g, RandomStream& rng, const ExecutionContext& ctx = {});
 
 }  // namespace pardpp

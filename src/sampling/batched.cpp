@@ -187,10 +187,4 @@ SampleResult sample_batched(const CountingOracle& mu, RandomStream& rng,
   return sample_batched_on(*state, rng, ctx, options);
 }
 
-SampleResult sample_batched(const CountingOracle& mu, RandomStream& rng,
-                            PramLedger* ledger,
-                            const BatchedOptions& options) {
-  return sample_batched(mu, rng, ExecutionContext::serial(ledger), options);
-}
-
 }  // namespace pardpp

@@ -22,7 +22,6 @@
 
 #include "distributions/oracle.h"
 #include "parallel/execution.h"
-#include "parallel/pram.h"
 #include "sampling/diagnostics.h"
 #include "support/random.h"
 
@@ -50,16 +49,7 @@ struct BatchedOptions {
 /// probability is at most `failure_prob` for Lemma 27-compliant targets.
 [[nodiscard]] SampleResult sample_batched(const CountingOracle& mu,
                                           RandomStream& rng,
-                                          const ExecutionContext& ctx,
-                                          const BatchedOptions& options = {});
-
-/// Legacy ledger-only entry point: serial execution. Note: rounds now
-/// draw from per-machine forked streams (execution.h), so the
-/// seed-to-sample mapping differs from builds that predate
-/// ExecutionContext — fixed-seed outputs recorded then will not match.
-[[nodiscard]] SampleResult sample_batched(const CountingOracle& mu,
-                                          RandomStream& rng,
-                                          PramLedger* ledger = nullptr,
+                                          const ExecutionContext& ctx = {},
                                           const BatchedOptions& options = {});
 
 /// Core loop on a caller-provided commit-path state (must be at its base

@@ -129,10 +129,4 @@ SampleResult sample_entropic(const CountingOracle& mu, RandomStream& rng,
   return sample_entropic_on(*state, rng, ctx, options);
 }
 
-SampleResult sample_entropic(const CountingOracle& mu, RandomStream& rng,
-                             PramLedger* ledger,
-                             const EntropicOptions& options) {
-  return sample_entropic(mu, rng, ExecutionContext::serial(ledger), options);
-}
-
 }  // namespace pardpp

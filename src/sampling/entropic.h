@@ -20,7 +20,6 @@
 
 #include "distributions/oracle.h"
 #include "parallel/execution.h"
-#include "parallel/pram.h"
 #include "sampling/diagnostics.h"
 #include "support/random.h"
 
@@ -54,14 +53,7 @@ struct EntropicOptions {
 /// restriction actually encountered.
 [[nodiscard]] SampleResult sample_entropic(const CountingOracle& mu,
                                            RandomStream& rng,
-                                           const ExecutionContext& ctx,
-                                           const EntropicOptions& options = {});
-
-/// Legacy ledger-only entry point: serial execution. The seed-to-sample
-/// mapping differs from pre-ExecutionContext builds (see batched.h).
-[[nodiscard]] SampleResult sample_entropic(const CountingOracle& mu,
-                                           RandomStream& rng,
-                                           PramLedger* ledger = nullptr,
+                                           const ExecutionContext& ctx = {},
                                            const EntropicOptions& options = {});
 
 /// Core loop on a caller-provided commit-path state (must be at its base

@@ -212,18 +212,4 @@ SampleResult sample_filtering_dpp(const Matrix& l, RandomStream& rng,
   return result;
 }
 
-SampleResult sample_small_dpp_bernoulli(const Matrix& kernel,
-                                        RandomStream& rng, PramLedger* ledger,
-                                        const FilteringOptions& options) {
-  return sample_small_dpp_bernoulli(kernel, rng,
-                                    ExecutionContext::serial(ledger), options);
-}
-
-SampleResult sample_filtering_dpp(const Matrix& l, RandomStream& rng,
-                                  PramLedger* ledger,
-                                  const FilteringOptions& options) {
-  return sample_filtering_dpp(l, rng, ExecutionContext::serial(ledger),
-                              options);
-}
-
 }  // namespace pardpp

@@ -15,7 +15,6 @@
 
 #include "linalg/matrix.h"
 #include "parallel/execution.h"
-#include "parallel/pram.h"
 #include "sampling/diagnostics.h"
 #include "support/random.h"
 
@@ -42,13 +41,7 @@ struct FilteringOptions {
 /// round's Bernoulli/rejection machines on the context's pool. A fixed
 /// seed yields the identical sample at every pool size.
 [[nodiscard]] SampleResult sample_filtering_dpp(
-    const Matrix& l, RandomStream& rng, const ExecutionContext& ctx,
-    const FilteringOptions& options = {});
-
-/// Legacy ledger-only entry point: serial execution. The seed-to-sample
-/// mapping differs from pre-ExecutionContext builds (see batched.h).
-[[nodiscard]] SampleResult sample_filtering_dpp(
-    const Matrix& l, RandomStream& rng, PramLedger* ledger = nullptr,
+    const Matrix& l, RandomStream& rng, const ExecutionContext& ctx = {},
     const FilteringOptions& options = {});
 
 /// Lemma 44 building block (exposed for tests and benches): samples the
@@ -56,13 +49,7 @@ struct FilteringOptions {
 /// (sigma_max <= ~1/sqrt(n)) by proposing independent Bernoullis on the
 /// diagonal and correcting by rejection, one wave of machines at a time.
 [[nodiscard]] SampleResult sample_small_dpp_bernoulli(
-    const Matrix& kernel, RandomStream& rng, const ExecutionContext& ctx,
-    const FilteringOptions& options = {});
-
-/// Legacy ledger-only entry point: serial execution. The seed-to-sample
-/// mapping differs from pre-ExecutionContext builds (see batched.h).
-[[nodiscard]] SampleResult sample_small_dpp_bernoulli(
-    const Matrix& kernel, RandomStream& rng, PramLedger* ledger = nullptr,
+    const Matrix& kernel, RandomStream& rng, const ExecutionContext& ctx = {},
     const FilteringOptions& options = {});
 
 }  // namespace pardpp

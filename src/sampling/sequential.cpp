@@ -5,7 +5,7 @@
 namespace pardpp {
 
 SampleResult sample_sequential_on(CommittedOracle& state, RandomStream& rng,
-                                  PramLedger* ledger) {
+                                  const ExecutionContext& ctx) {
   check_arg(state.committed_count() == 0,
             "sample_sequential_on: state not at its base distribution");
   const std::size_t refreshes_before = state.spectral_refreshes();
@@ -14,7 +14,7 @@ SampleResult sample_sequential_on(CommittedOracle& state, RandomStream& rng,
   while (state.sample_size() > 0) {
     const std::size_t m = state.ground_size();
     // One parallel round: m counting queries evaluate all marginals.
-    charge_round(ledger, m, m);
+    ctx.charge(m, m);
     result.diag.rounds += 1;
     result.diag.oracle_calls += m;
     const MarginalDraw draw = state.draw_marginal(rng);
@@ -26,14 +26,14 @@ SampleResult sample_sequential_on(CommittedOracle& state, RandomStream& rng,
   std::sort(result.items.begin(), result.items.end());
   result.diag.spectral_refreshes =
       state.spectral_refreshes() - refreshes_before;
-  if (ledger != nullptr) result.diag.pram = ledger->stats();
+  if (ctx.ledger() != nullptr) result.diag.pram = ctx.ledger()->stats();
   return result;
 }
 
 SampleResult sample_sequential(const CountingOracle& mu, RandomStream& rng,
-                               PramLedger* ledger) {
+                               const ExecutionContext& ctx) {
   const auto state = mu.make_committed();
-  return sample_sequential_on(*state, rng, ledger);
+  return sample_sequential_on(*state, rng, ctx);
 }
 
 }  // namespace pardpp

@@ -15,7 +15,7 @@
 #pragma once
 
 #include "distributions/oracle.h"
-#include "parallel/pram.h"
+#include "parallel/execution.h"
 #include "sampling/diagnostics.h"
 #include "support/random.h"
 
@@ -24,14 +24,14 @@ namespace pardpp {
 /// Exact sample from the oracle's distribution; depth = k rounds.
 [[nodiscard]] SampleResult sample_sequential(const CountingOracle& mu,
                                              RandomStream& rng,
-                                             PramLedger* ledger = nullptr);
+                                             const ExecutionContext& ctx = {});
 
 /// Core loop on a caller-provided commit-path state (must be at its base
 /// distribution, i.e. freshly created or reset()). SamplerSession uses
 /// this to amortize one state — and the base oracle's preprocessing —
 /// across many draws.
-[[nodiscard]] SampleResult sample_sequential_on(CommittedOracle& state,
-                                                RandomStream& rng,
-                                                PramLedger* ledger = nullptr);
+[[nodiscard]] SampleResult sample_sequential_on(
+    CommittedOracle& state, RandomStream& rng,
+    const ExecutionContext& ctx = {});
 
 }  // namespace pardpp

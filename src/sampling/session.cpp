@@ -30,10 +30,6 @@ void RecoveryOptions::validate() const {
             "retry budget never retries (disable recovery instead — "
             "enabling it alone already changes the per-draw stream "
             "protocol)");
-  check_arg(degrade_undistilled || degrade_reference,
-            "RecoveryOptions::degrade_*: enabled recovery with every "
-            "ladder rung disabled can only retry the failing "
-            "configuration in place");
 }
 
 void SessionOptions::validate(std::size_t sample_size) const {
@@ -149,18 +145,17 @@ SampleResult SamplerSession::run_rung(Rung rung,
 }
 
 SamplerSession::Rung SamplerSession::next_rung(Rung rung) const {
-  const RecoveryOptions& rec = options_.recovery;
   const auto available = [&](Rung r) {
     switch (r) {
       case Rung::kConfigured:
         return true;
       case Rung::kUndistilled:
-        return rec.degrade_undistilled && plan_ != nullptr;
+        return plan_ != nullptr;
       case Rung::kReference:
         // Only a real degradation when the session runs the commit path;
         // with use_commit = false the undistilled rung (or, undistilled
         // sessions, the configured path) already IS the reference.
-        return rec.degrade_reference && options_.use_commit;
+        return options_.use_commit;
     }
     return false;
   };

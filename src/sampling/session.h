@@ -98,18 +98,15 @@ struct RecoveryOptions {
   /// recovery-off sequences.
   bool enabled = false;
   /// Extra attempts per draw after the first (so max_retries = 3 means
-  /// at most 4 attempts). When the ladder has no rung left to degrade
+  /// at most 4 attempts). The ladder degrades distilled → undistilled
+  /// full-n path (lazily paying the base oracle's full preprocessing on
+  /// first use) → condition() reference; when no rung is left to degrade
   /// to, remaining attempts retry the last rung.
   std::size_t max_retries = 3;
-  /// Ladder rung: distilled → undistilled full-n path (lazily pays the
-  /// base oracle's full preprocessing on first use).
-  bool degrade_undistilled = true;
-  /// Ladder rung: commit path → condition() reference.
-  bool degrade_reference = true;
 
   /// Throws InvalidArgument naming the offending field: enabled recovery
-  /// with a zero retry budget, or with every ladder rung disabled, is a
-  /// silent no-op the caller almost certainly did not intend.
+  /// with a zero retry budget is a silent no-op the caller almost
+  /// certainly did not intend.
   void validate() const;
 };
 

@@ -15,28 +15,28 @@ namespace {
 
 UnconstrainedSampleResult via_cardinality(const Matrix& l, bool symmetric,
                                           RandomStream& rng,
-                                          PramLedger* ledger,
+                                          const ExecutionContext& ctx,
                                           const UnconstrainedOptions& options) {
   UnconstrainedSampleResult result;
   // One parallel round computes all e_j (Prop. 13.2) and draws |S|.
   const auto weights = cardinality_log_weights(l, symmetric);
-  charge_round(ledger, l.rows(), 1);
+  ctx.charge(l.rows(), 1);
   const std::size_t k = sample_cardinality(weights, rng);
   if (k == 0) {
     result.strategy_used = symmetric ? "cardinality+batched"
                                      : "cardinality+entropic";
-    if (ledger != nullptr) result.diag.pram = ledger->stats();
+    if (ctx.ledger() != nullptr) result.diag.pram = ctx.ledger()->stats();
     return result;
   }
   if (symmetric) {
     const SymmetricKdppOracle oracle(l, k, /*validate=*/false);
-    auto sample = sample_batched(oracle, rng, ledger, options.batched);
+    auto sample = sample_batched(oracle, rng, ctx, options.batched);
     result.items = std::move(sample.items);
     result.diag = sample.diag;
     result.strategy_used = "cardinality+batched";
   } else {
     const GeneralDppOracle oracle(l, k, /*validate=*/false);
-    auto sample = sample_entropic(oracle, rng, ledger, options.entropic);
+    auto sample = sample_entropic(oracle, rng, ctx, options.entropic);
     result.items = std::move(sample.items);
     result.diag = sample.diag;
     result.strategy_used = "cardinality+entropic";
@@ -45,10 +45,10 @@ UnconstrainedSampleResult via_cardinality(const Matrix& l, bool symmetric,
 }
 
 UnconstrainedSampleResult via_filtering(const Matrix& l, RandomStream& rng,
-                                        PramLedger* ledger,
+                                        const ExecutionContext& ctx,
                                         const UnconstrainedOptions& options) {
   UnconstrainedSampleResult result;
-  auto sample = sample_filtering_dpp(l, rng, ledger, options.filtering);
+  auto sample = sample_filtering_dpp(l, rng, ctx, options.filtering);
   result.items = std::move(sample.items);
   result.diag = sample.diag;
   result.strategy_used = "filtering";
@@ -58,7 +58,8 @@ UnconstrainedSampleResult via_filtering(const Matrix& l, RandomStream& rng,
 }  // namespace
 
 UnconstrainedSampleResult sample_dpp(const Matrix& l, bool symmetric,
-                                     RandomStream& rng, PramLedger* ledger,
+                                     RandomStream& rng,
+                                     const ExecutionContext& ctx,
                                      const UnconstrainedOptions& options) {
   check_arg(l.square(), "sample_dpp: matrix not square");
   using Strategy = UnconstrainedOptions::Strategy;
@@ -82,8 +83,8 @@ UnconstrainedSampleResult sample_dpp(const Matrix& l, bool symmetric,
     }
   }
   return strategy == Strategy::kFiltering
-             ? via_filtering(l, rng, ledger, options)
-             : via_cardinality(l, symmetric, rng, ledger, options);
+             ? via_filtering(l, rng, ctx, options)
+             : via_cardinality(l, symmetric, rng, ctx, options);
 }
 
 }  // namespace pardpp

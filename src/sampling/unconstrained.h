@@ -13,7 +13,7 @@
 #include <string>
 
 #include "linalg/matrix.h"
-#include "parallel/pram.h"
+#include "parallel/execution.h"
 #include "sampling/batched.h"
 #include "sampling/diagnostics.h"
 #include "sampling/entropic.h"
@@ -45,6 +45,6 @@ struct UnconstrainedSampleResult {
 /// filtering options' eps for the filtering route.
 [[nodiscard]] UnconstrainedSampleResult sample_dpp(
     const Matrix& l, bool symmetric, RandomStream& rng,
-    PramLedger* ledger = nullptr, const UnconstrainedOptions& options = {});
+    const ExecutionContext& ctx = {}, const UnconstrainedOptions& options = {});
 
 }  // namespace pardpp

@@ -35,12 +35,6 @@ namespace pardpp {
   return log_factorial(n) - log_factorial(k) - log_factorial(n - k);
 }
 
-/// Exact binomial coefficient as double (callers keep n small).
-[[nodiscard]] inline double binomial(std::size_t n, std::size_t k) noexcept {
-  if (k > n) return 0.0;
-  return std::exp(log_binomial(n, k));
-}
-
 /// Advances `comb` (strictly increasing, values in [0, n)) to the next
 /// k-combination in lexicographic order. Returns false after the last one.
 [[nodiscard]] inline bool next_combination(std::vector<int>& comb, int n) {

@@ -59,12 +59,4 @@ inline constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   return hi + std::log(acc);
 }
 
-/// exp with clamping: values above `cap` saturate instead of overflowing.
-[[nodiscard]] inline double exp_clamped(double log_value,
-                                        double cap = 1e300) noexcept {
-  if (log_value == kNegInf) return 0.0;
-  const double v = std::exp(std::min(log_value, 690.0));
-  return std::min(v, cap);
-}
-
 }  // namespace pardpp

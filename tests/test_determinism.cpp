@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "parallel/execution.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
+#include "planar/grid.h"
+#include "planar/matching_sampler.h"
 #include "sampling/batched.h"
 #include "sampling/entropic.h"
 #include "sampling/filtering.h"
@@ -125,6 +128,39 @@ TEST(Determinism, RejectionPrimitiveIdenticalAcrossPoolSizes) {
   }
   for (std::size_t p = 1; p < per_pool.size(); ++p)
     EXPECT_EQ(per_pool[0], per_pool[p]);
+}
+
+void expect_same_pram(const PramStats& a, const PramStats& b) {
+  EXPECT_EQ(a.depth, b.depth);
+  EXPECT_EQ(a.work, b.work);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.max_machines, b.max_machines);
+  EXPECT_EQ(a.oracle_calls, b.oracle_calls);
+}
+
+TEST(Determinism, PlanarSeparatorIdenticalAcrossPoolSizes) {
+  // Sibling components fan out on the context's pool; their streams are
+  // split before the fan-out, so neither the matching nor the fork-join
+  // PRAM accounting may depend on the pool size.
+  const std::vector<PlanarGraph> graphs = {grid_graph(10, 10),
+                                           hexagon_honeycomb_graph(3, 3, 3)};
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    std::vector<MatchingResult> per_pool;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      PramLedger ledger;
+      const ExecutionContext ctx(&pool, &ledger);
+      RandomStream rng(2718);
+      per_pool.push_back(sample_matching_separator(graphs[gi], rng, ctx));
+      expect_same_pram(ledger.stats(), per_pool.back().diag.pram);
+    }
+    for (std::size_t p = 1; p < per_pool.size(); ++p) {
+      SCOPED_TRACE("graph " + std::to_string(gi) + ", pool size index " +
+                   std::to_string(p));
+      EXPECT_EQ(per_pool[0].matching, per_pool[p].matching);
+      expect_same_pram(per_pool[0].diag.pram, per_pool[p].diag.pram);
+    }
+  }
 }
 
 TEST(Determinism, MachineStreamsIndependentOfConsumptionOrder) {

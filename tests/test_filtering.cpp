@@ -224,7 +224,7 @@ TEST(Lemma44, SizeCapCountsAsOmegaRejection) {
   FilteringOptions options;
   options.size_cap = 1;  // absurdly tight: most proposals rejected by size
   options.machine_cap = 100000;
-  auto result = sample_small_dpp_bernoulli(kernel, rng, nullptr, options);
+  auto result = sample_small_dpp_bernoulli(kernel, rng, {}, options);
   EXPECT_LE(result.items.size(), 1u);
   EXPECT_GT(result.diag.duplicate_rejects, 0u);
 }

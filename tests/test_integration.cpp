@@ -14,6 +14,7 @@
 #include "linalg/factory.h"
 #include "linalg/lu.h"
 #include "linalg/symmetric_eigen.h"
+#include "parallel/execution.h"
 #include "planar/grid.h"
 #include "planar/matching_count.h"
 #include "planar/matching_sampler.h"
@@ -107,7 +108,7 @@ TEST(Integration, SubdivisionOverNonDeterminantalOracle) {
       });
   std::vector<std::vector<int>> samples;
   for (int i = 0; i < 15000; ++i)
-    samples.push_back(sample_entropic(oracle, rng, nullptr, options).items);
+    samples.push_back(sample_entropic(oracle, rng, {}, options).items);
   EXPECT_LT(testing::empirical_tv(exact, samples), 0.05);
 }
 
@@ -166,8 +167,10 @@ TEST(Integration, LedgerDepthOrdering) {
   const SymmetricKdppOracle oracle(l, k, false);
   PramLedger seq_ledger;
   PramLedger batch_ledger;
-  const auto seq = sample_sequential(oracle, rng, &seq_ledger);
-  const auto batch = sample_batched(oracle, rng, &batch_ledger);
+  const auto seq = sample_sequential(oracle, rng,
+                                     ExecutionContext::serial(&seq_ledger));
+  const auto batch = sample_batched(oracle, rng,
+                                    ExecutionContext::serial(&batch_ledger));
   EXPECT_EQ(seq.items.size(), k);
   EXPECT_EQ(batch.items.size(), k);
   EXPECT_GT(seq_ledger.stats().depth, batch_ledger.stats().depth);

@@ -8,6 +8,7 @@
 #include <utility>
 #include <numeric>
 
+#include "parallel/execution.h"
 #include "parallel/parallel_for.h"
 #include "parallel/pram.h"
 #include "parallel/thread_pool.h"
@@ -257,7 +258,7 @@ TEST(Pram, ForkJoinTakesMaxDepthAndSumsWork) {
 }
 
 TEST(Pram, NullLedgerHelpersAreSafe) {
-  EXPECT_NO_THROW(charge_round(nullptr, 10, 10));
+  EXPECT_NO_THROW(ExecutionContext{}.charge(10, 10));
 }
 
 TEST(Pram, AppendSequentialComposes) {

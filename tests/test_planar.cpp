@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 
+#include "parallel/execution.h"
 #include "planar/enumerate.h"
 #include "planar/faces.h"
 #include "planar/fkt.h"
@@ -419,8 +420,10 @@ TEST(MatchingSampler, SeparatorDepthBeatsSequential) {
   const auto g = grid_graph(8, 8);
   PramLedger seq_ledger;
   PramLedger sep_ledger;
-  (void)sample_matching_sequential(g, rng, &seq_ledger);
-  (void)sample_matching_separator(g, rng, &sep_ledger);
+  (void)sample_matching_sequential(g, rng,
+                                   ExecutionContext::serial(&seq_ledger));
+  (void)sample_matching_separator(g, rng,
+                                  ExecutionContext::serial(&sep_ledger));
   EXPECT_DOUBLE_EQ(seq_ledger.stats().depth, 32.0);  // n/2 rounds
   EXPECT_LT(sep_ledger.stats().depth, 25.0);  // ~c sqrt(n) < n/2
 }

@@ -302,16 +302,19 @@ TEST_F(RecoveryTest, QueryManyFaultExhaustsBudgetWithTypedError) {
 // ---- recovery with a one-shot fault: scoped retry determinism ----
 
 TEST_F(RecoveryTest, ScopedOneShotFaultRecoversOnRetrySameRung) {
-  // count:1 per draw scope on a non-distilled commit session with the
-  // reference rung disabled: the retry re-runs the SAME rung (ladder
-  // exhausted) and succeeds because the per-scope trigger is spent.
+  // count:1 per draw scope on a non-distilled reference session
+  // (use_commit = false), which has no rung left to degrade to: the
+  // retry re-runs the SAME rung (ladder exhausted) and succeeds because
+  // the per-scope trigger is spent. The batched reference path issues
+  // wave queries, so the fault reaches it.
   const Matrix l = small_symmetric_kernel(515016, 8);
   const SymmetricKdppOracle oracle(l, 2);
   SessionOptions options;
+  options.kind = SamplerKind::kBatched;
+  options.use_commit = false;
   options.recovery.enabled = true;
-  options.recovery.degrade_reference = false;
   SamplerSession session(oracle, options);
-  arm("symmetric.commit.pivot=scoped,count:1");
+  arm("oracle.query_many=scoped,count:1");
   RandomStream rng(99116);
   const auto result = session.draw(rng);
   EXPECT_EQ(result.items.size(), 2u);

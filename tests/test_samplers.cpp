@@ -12,6 +12,7 @@
 #include "dpp/symmetric_oracle.h"
 #include "linalg/factory.h"
 #include "linalg/lu.h"
+#include "parallel/execution.h"
 #include "sampling/batched.h"
 #include "sampling/entropic.h"
 #include "sampling/rejection.h"
@@ -56,7 +57,8 @@ TEST(SequentialSampler, DepthEqualsK) {
   const Matrix l = random_psd(10, 10, rng, 1e-3);
   const SymmetricKdppOracle oracle(l, 5);
   PramLedger ledger;
-  const auto result = sample_sequential(oracle, rng, &ledger);
+  const auto result = sample_sequential(oracle, rng,
+                                        ExecutionContext::serial(&ledger));
   EXPECT_EQ(result.items.size(), 5u);
   EXPECT_EQ(ledger.stats().rounds, 5u);       // one round per element
   EXPECT_DOUBLE_EQ(ledger.stats().depth, 5.0);
@@ -157,7 +159,8 @@ TEST(BatchedSampler, RoundCountRespectsProposition28) {
   // the exp(t^2/k) cap) at the same k.
   const UniformKSubsetOracle uniform(512, 256);
   PramLedger ledger;
-  const auto result = sample_batched(uniform, rng, &ledger);
+  const auto result = sample_batched(uniform, rng,
+                                     ExecutionContext::serial(&ledger));
   EXPECT_EQ(result.items.size(), 256u);
   const double bound = 2.0 * std::sqrt(256.0) + 2.0;
   // Each batch consumes one marginals round and one proposal round.
@@ -189,7 +192,7 @@ TEST(BatchedSampler, OversizedBatchesCollapseOnHardInstance) {
   options.max_batch = 32;       // batch = k >> sqrt(k)
   options.machine_cap = 2000;   // bounded budget
   options.extra_log_cap = 30.0; // even a huge cap cannot save it
-  EXPECT_THROW((void)sample_batched(oracle, rng, nullptr, options),
+  EXPECT_THROW((void)sample_batched(oracle, rng, {}, options),
                SamplingFailure);
 }
 
@@ -201,7 +204,7 @@ TEST(BatchedSampler, MachineCapFailureInjection) {
   bool failed = false;
   for (int attempt = 0; attempt < 200 && !failed; ++attempt) {
     try {
-      (void)sample_batched(oracle, rng, nullptr, options);
+      (void)sample_batched(oracle, rng, {}, options);
     } catch (const SamplingFailure&) {
       failed = true;
     }
@@ -259,7 +262,7 @@ TEST(EntropicSampler, SubdivisionPathDistribution) {
   options.beta = 0.5;
   std::vector<std::vector<int>> samples;
   for (int i = 0; i < 20000; ++i)
-    samples.push_back(sample_entropic(oracle, rng, nullptr, options).items);
+    samples.push_back(sample_entropic(oracle, rng, {}, options).items);
   EXPECT_LT(empirical_tv(exact, samples), 0.05);
 }
 
@@ -279,7 +282,7 @@ TEST(EntropicSampler, HardInstanceNeedsLargeCap) {
   options.cap_slack = 4.0;  // covers the n/k pair-ratio at this scale
   std::vector<std::vector<int>> samples;
   for (int i = 0; i < 20000; ++i)
-    samples.push_back(sample_entropic(oracle, rng, nullptr, options).items);
+    samples.push_back(sample_entropic(oracle, rng, {}, options).items);
   EXPECT_LT(empirical_tv(exact, samples), 0.05);
 }
 
@@ -289,7 +292,8 @@ TEST(EntropicSampler, BatchExponentControlsBatchSize) {
   EntropicOptions options;
   options.c = 0.25;
   PramLedger ledger;
-  const auto result = sample_entropic(oracle, rng, &ledger, options);
+  const auto result = sample_entropic(oracle, rng,
+      ExecutionContext::serial(&ledger), options);
   EXPECT_EQ(result.items.size(), 256u);
   // l = floor(256^{0.25}) = 4; rounds ~ k / l = 64 (plus shrink effects),
   // much more than 2 sqrt(k) = 32 but far less than k.

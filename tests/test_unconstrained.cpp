@@ -49,7 +49,7 @@ TEST(SampleDpp, SymmetricCardinalityRouteDistribution) {
   std::map<std::uint64_t, std::size_t> counts;
   const int trials = 25000;
   for (int i = 0; i < trials; ++i) {
-    const auto result = sample_dpp(l, true, rng, nullptr, options);
+    const auto result = sample_dpp(l, true, rng, {}, options);
     EXPECT_EQ(result.strategy_used, "cardinality+batched");
     ++counts[to_mask(result.items)];
   }
@@ -103,7 +103,7 @@ TEST(SampleDpp, FilteringRouteDistribution) {
   std::map<std::uint64_t, std::size_t> counts;
   const int trials = 12000;
   for (int i = 0; i < trials; ++i)
-    ++counts[to_mask(sample_dpp(l, true, rng, nullptr, options).items)];
+    ++counts[to_mask(sample_dpp(l, true, rng, {}, options).items)];
   EXPECT_LT(testing::empirical_tv_map(exact, counts, trials), 0.06);
 }
 
@@ -112,7 +112,7 @@ TEST(SampleDpp, FilteringRejectsNonsymmetric) {
   const Matrix l = random_npsd(5, rng, 0.5);
   UnconstrainedOptions options;
   options.strategy = UnconstrainedOptions::Strategy::kFiltering;
-  EXPECT_THROW((void)sample_dpp(l, false, rng, nullptr, options),
+  EXPECT_THROW((void)sample_dpp(l, false, rng, {}, options),
                InvalidArgument);
 }
 
