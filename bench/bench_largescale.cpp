@@ -146,21 +146,25 @@ bool exactness_block(JsonSeries& json) {
                  identical ? "yes" : "NO"});
   table.print();
   json.add_record(
-      {JsonSeries::text("experiment", "largescale_exactness"),
-       JsonSeries::number("n", n),
-       JsonSeries::number("d", d), JsonSeries::number("k", k),
-       JsonSeries::number("trials", trials),
-       JsonSeries::number("chi_square", chi.statistic, 2),
-       JsonSeries::number("dof", chi.dof, 0),
-       JsonSeries::text("identical", identical ? "yes" : "no"),
-       JsonSeries::boolean("regression", !chi.ok || !identical)});
+      {{JsonSeries::text("experiment", "largescale_exactness"),
+        JsonSeries::number("n", n), JsonSeries::number("d", d),
+        JsonSeries::number("k", k), JsonSeries::number("trials", trials)},
+       {},
+       {JsonSeries::number("chi_square", chi.statistic, 2),
+        JsonSeries::number("dof", chi.dof, 0),
+        JsonSeries::text("identical", identical ? "yes" : "no"),
+        JsonSeries::boolean("regression", !chi.ok || !identical)},
+       {}});
   return !chi.ok || !identical;
 }
+
+// Timed draw_many calls per trial (kDraws draws each).
+constexpr int kTrials = 5;
 
 struct ScalePoint {
   std::size_t n = 0;
   double prime_ms = 0.0;
-  double draw_ms = 0.0;
+  Trials draws;  // per-draw times of the distilled path
   double accept_rate = 1.0;
   double full_prime_ms = 0.0;
   double full_draw_ms = 0.0;
@@ -186,27 +190,20 @@ ScalePoint measure_scale(std::size_t n, std::size_t d, std::size_t k,
 
   const std::size_t draws = 32;
   const std::uint64_t seed = 902777;
-  {
-    RandomStream rng(seed);  // untimed warmup
-    (void)session.draw_many(draws, rng, ExecutionContext::serial());
-  }
+  std::vector<SampleResult> results;
+  point.draws = run_trials(1, kTrials, [&](std::size_t) {
+    RandomStream rng(seed);
+    results = session.draw_many(draws, rng, ExecutionContext::serial());
+  });
+  point.draws.per(static_cast<double>(draws));
   std::size_t proposals = 0;
   std::size_t accepted = 0;
-  std::vector<std::vector<int>> reference_items;
-  for (int pass = 0; pass < 3; ++pass) {
-    RandomStream rng(seed);
-    Timer timer;
-    auto results = session.draw_many(draws, rng, ExecutionContext::serial());
-    const double ms = timer.millis() / static_cast<double>(draws);
-    if (pass == 0 || ms < point.draw_ms) point.draw_ms = ms;
-    if (pass == 0) {
-      for (const auto& r : results) {
-        proposals += r.diag.proposals;
-        accepted += r.diag.accepted_batches;
-      }
-      reference_items = items_of(std::move(results));
-    }
+  for (const auto& r : results) {
+    proposals += r.diag.proposals;
+    accepted += r.diag.accepted_batches;
   }
+  const std::vector<std::vector<int>> reference_items =
+      items_of(std::move(results));
   point.accept_rate = proposals == 0
                           ? 1.0
                           : static_cast<double>(accepted) /
@@ -300,40 +297,34 @@ bool spanning_tree_block(JsonSeries& json) {
   SamplerSession big_session(big_oracle, SessionOptions{});
   const double prime_ms = prime_timer.millis();
   const std::size_t draws = 16;
-  double draw_ms = 0.0;
-  {
-    RandomStream warmup_rng(904002);
-    (void)big_session.draw_many(4, warmup_rng, ExecutionContext::serial());
-  }
-  for (int pass = 0; pass < 3; ++pass) {
-    RandomStream pass_rng(904002);
-    Timer timer;
-    (void)big_session.draw_many(draws, pass_rng, ExecutionContext::serial());
-    const double ms = timer.millis() / static_cast<double>(draws);
-    if (pass == 0 || ms < draw_ms) draw_ms = ms;
-  }
-  const double draws_per_sec = 1000.0 / draw_ms;
+  Trials timed = run_trials(1, kTrials, [&](std::size_t) {
+    RandomStream rng(904002);
+    (void)big_session.draw_many(draws, rng, ExecutionContext::serial());
+  });
+  timed.per(static_cast<double>(draws));
+  const ArmTimes& draw = timed.arms[0];
 
   Table table({"graph", "edges", "k", "chi2", "threshold", "marginal_err",
-               "law_ok", "draw_ms(8x8)", "draws/s"});
+               "law_ok", "draw_ms(8x8)", "draw_iqr"});
   table.add_row({"grid2x3/grid8x8", fmt_int(big.num_edges()),
                  fmt_int(big.num_vertices() - 1), fmt(chi.statistic, 1),
                  fmt(chi.threshold, 1), fmt(marginal_err, 12),
-                 law_ok ? "yes" : "NO", fmt(draw_ms, 2),
-                 fmt(draws_per_sec, 1)});
+                 law_ok ? "yes" : "NO", fmt(draw.median(), 2),
+                 fmt(100.0 * draw.iqr() / draw.median(), 0) + "%"});
   table.print();
-  json.add_record(
+  JsonSeries::Record record{
       {JsonSeries::text("experiment", "steadystate_spanning_tree"),
        JsonSeries::text("graph", "grid8x8"),
        JsonSeries::number("edges", big.num_edges()),
        JsonSeries::number("k", big.num_vertices() - 1),
-       JsonSeries::number("trials", trials),
-       JsonSeries::number("chi_square", chi.statistic, 2),
-       JsonSeries::number("prime_ms", prime_ms, 3),
-       JsonSeries::number("draw_ms", draw_ms, 4),
-       JsonSeries::number("draws_per_sec", draws_per_sec, 1),
+       JsonSeries::number("trials", trials)},
+      arm_fields("draw", draw),
+      {JsonSeries::number("chi_square", chi.statistic, 2),
        JsonSeries::text("law_ok", law_ok ? "yes" : "no"),
-       JsonSeries::boolean("regression", !law_ok)});
+       JsonSeries::boolean("regression", !law_ok)},
+      trial_fields(timed)};
+  record.measurement.push_back(JsonSeries::number("prime_ms", prime_ms, 3));
+  json.add_record(std::move(record));
   return !law_ok;
 }
 
@@ -363,32 +354,41 @@ int main() {
   points.push_back(measure_scale(1000000, d, k, /*full_feasible=*/false,
                                  &points.back()));
 
-  Table table({"n", "prime_ms", "draw_ms", "accept", "full_prime_ms",
-               "full_draw_ms", "draw_speedup", "identical"});
+  Table table({"n", "prime_ms", "draw_ms", "draw_iqr", "accept",
+               "full_prime_ms", "full_draw_ms", "draw_speedup", "identical"});
   for (const ScalePoint& point : points) {
-    const double speedup = point.full_draw_ms / point.draw_ms;
+    const ArmTimes& draw = point.draws.arms[0];
+    const double speedup = point.full_draw_ms / draw.median();
     const std::string estimate_mark = point.full_estimated ? " (est)" : "";
     table.add_row({fmt_int(point.n), fmt(point.prime_ms, 1),
-                   fmt(point.draw_ms, 3), fmt(point.accept_rate, 2),
+                   fmt(draw.median(), 3),
+                   fmt(100.0 * draw.iqr() / draw.median(), 0) + "%",
+                   fmt(point.accept_rate, 2),
                    fmt(point.full_prime_ms, 1) + estimate_mark,
                    fmt(point.full_draw_ms, 2) + estimate_mark,
                    fmt(speedup, 1) + "x",
                    point.identical ? "yes" : "NO"});
     any_regression = any_regression || !point.identical;
-    json.add_record(
+    JsonSeries::Record record{
         {JsonSeries::text("experiment", "largescale_distill"),
          JsonSeries::text("family", "feature"),
          JsonSeries::number("n", point.n), JsonSeries::number("d", d),
-         JsonSeries::number("k", k),
-         JsonSeries::number("prime_ms", point.prime_ms, 3),
-         JsonSeries::number("draw_ms", point.draw_ms, 4),
-         JsonSeries::number("accept_rate", point.accept_rate, 3),
-         JsonSeries::number("full_prime_ms", point.full_prime_ms, 3),
-         JsonSeries::number("full_draw_ms", point.full_draw_ms, 3),
-         JsonSeries::boolean("full_estimated", point.full_estimated),
-         JsonSeries::number("draw_speedup_vs_full", speedup, 1),
-         JsonSeries::text("identical", point.identical ? "yes" : "no"),
-         JsonSeries::boolean("regression", !point.identical)});
+         JsonSeries::number("k", k)},
+        arm_fields("draw", draw),
+        {JsonSeries::text("identical", point.identical ? "yes" : "no"),
+         JsonSeries::boolean("regression", !point.identical)},
+        trial_fields(point.draws)};
+    for (auto field :
+         {JsonSeries::number("prime_ms", point.prime_ms, 3),
+          JsonSeries::number("accept_rate", point.accept_rate, 3),
+          JsonSeries::number("full_prime_ms", point.full_prime_ms, 3),
+          JsonSeries::number("full_draw_ms", point.full_draw_ms, 3),
+          JsonSeries::number("draw_speedup_vs_full", speedup, 1)})
+      record.measurement.push_back(std::move(field));
+    // An extrapolated full-n figure is marked as such, not measured.
+    record.provenance.push_back(
+        JsonSeries::boolean("full_estimated", point.full_estimated));
+    json.add_record(std::move(record));
   }
   table.print();
 

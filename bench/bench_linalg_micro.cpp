@@ -2,38 +2,29 @@
 // "oracle primitives" every PRAM round charges. These calibrate the
 // wall-clock cost behind one depth unit at various sizes.
 //
-// Run with no arguments (the CI smoke mode), the binary times each
-// dispatched kernel against the scalar arm in-process (via
-// ScopedPathOverride, interleaved min-of-repeats) and writes the series
-// to bench-out/BENCH_linalg_micro.json — experiment `linalg_micro` in
-// the DESIGN.md §3 index. A record sets "regression": true when the
-// AVX2 arm is active but a headline kernel (gemm_nt, syrk_ut) falls
-// under 2x over scalar — the floor the dispatch layer is sized for.
+// The binary times each dispatched kernel against the scalar arm
+// in-process (via ScopedPathOverride, as two arms of bench_util.h's
+// run_trials) and writes the series to bench-out/BENCH_linalg_micro.json
+// — experiment `linalg_micro` in the DESIGN.md §3 index. A record sets
+// "regression": true when the AVX2 arm is active but the lower quartile
+// of a headline kernel's (gemm_nt, syrk_ut) per-trial speedup over
+// scalar falls under 2x — the floor the dispatch layer is sized for.
 // When the scalar arm is active (forced or no AVX2), dispatched ==
 // scalar and the ratio is reported as parity, never as a regression.
-//
-// Any google-benchmark flag switches the binary to the interactive
-// google-benchmark suite below instead.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "bench_util.h"
-#include "dpp/charpoly_engine.h"
-#include "dpp/ensemble.h"
 #include "linalg/cholesky.h"
-#include "linalg/esp.h"
 #include "linalg/factory.h"
 #include "linalg/lu.h"
-#include "linalg/pfaffian.h"
 #include "linalg/schur.h"
 #include "linalg/simd.h"
 #include "linalg/symmetric_eigen.h"
 #include "support/random.h"
-#include "support/timer.h"
 
 namespace {
 
@@ -44,233 +35,55 @@ Matrix psd_fixture(std::size_t n) {
   return random_psd(n, n, rng, 1e-6);
 }
 
-void BM_LuFactor(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix a = psd_fixture(n);
-  for (auto _ : state) {
-    auto lu = lu_factor(a);
-    benchmark::DoNotOptimize(lu.log_abs_det());
-  }
-}
-BENCHMARK(BM_LuFactor)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_Cholesky(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix a = psd_fixture(n);
-  for (auto _ : state) {
-    auto chol = cholesky(a);
-    benchmark::DoNotOptimize(chol->log_det());
-  }
-}
-BENCHMARK(BM_Cholesky)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_SymmetricEigenValuesOnly(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix a = psd_fixture(n);
-  for (auto _ : state) {
-    auto values = symmetric_eigenvalues(a);
-    benchmark::DoNotOptimize(values.back());
-  }
-}
-BENCHMARK(BM_SymmetricEigenValuesOnly)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_SymmetricEigenFull(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix a = psd_fixture(n);
-  for (auto _ : state) {
-    auto eig = symmetric_eigen(a);
-    benchmark::DoNotOptimize(eig.vectors(0, 0));
-  }
-}
-BENCHMARK(BM_SymmetricEigenFull)->Arg(32)->Arg(64)->Arg(128);
-
-// The naive Gram orientation the blocked kernels replace: materialize the
-// transpose, then the generic row-major product.
-void BM_GramNaive(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  RandomStream rng(17);
-  const Matrix b = random_gaussian(n, 24, rng);
-  for (auto _ : state) {
-    Matrix g = b.transpose() * b;
-    benchmark::DoNotOptimize(g(0, 0));
-  }
-}
-BENCHMARK(BM_GramNaive)->Arg(256)->Arg(1024)->Arg(4096);
-
-// Blocked symmetric rank-k update: the Gram/Schur hot-path kernel
-// (sym_rank_k_update streams B's rows once, no transpose materialized).
-void BM_GramBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  RandomStream rng(17);
-  const Matrix b = random_gaussian(n, 24, rng);
-  for (auto _ : state) {
-    Matrix g(24, 24);
-    sym_rank_k_update(g, 1.0, b.flat().data(), n, 24, 24);
-    benchmark::DoNotOptimize(g(0, 0));
-  }
-}
-BENCHMARK(BM_GramBlocked)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_MultiplyTransposedBNaive(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  RandomStream rng(19);
-  const Matrix a = random_gaussian(n, 24, rng);
-  const Matrix b = random_gaussian(24, 24, rng);
-  for (auto _ : state) {
-    Matrix c = a * b.transpose();
-    benchmark::DoNotOptimize(c(0, 0));
-  }
-}
-BENCHMARK(BM_MultiplyTransposedBNaive)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_MultiplyTransposedB(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  RandomStream rng(19);
-  const Matrix a = random_gaussian(n, 24, rng);
-  const Matrix b = random_gaussian(24, 24, rng);
-  for (auto _ : state) {
-    Matrix c = multiply_transposed_b(a, b);
-    benchmark::DoNotOptimize(c(0, 0));
-  }
-}
-BENCHMARK(BM_MultiplyTransposedB)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_MarginalKernel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix l = psd_fixture(n);
-  for (auto _ : state) {
-    auto k = marginal_kernel(l);
-    benchmark::DoNotOptimize(k(0, 0));
-  }
-}
-BENCHMARK(BM_MarginalKernel)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_Pfaffian(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  RandomStream rng(7);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double v = rng.normal();
-      a(i, j) = v;
-      a(j, i) = -v;
-    }
-  for (auto _ : state) {
-    auto pf = pfaffian_log(a);
-    benchmark::DoNotOptimize(pf.log_abs);
-  }
-}
-BENCHMARK(BM_Pfaffian)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_LogEsp(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  RandomStream rng(9);
-  std::vector<double> lambda(n);
-  for (auto& v : lambda) v = rng.uniform() * 2.0;
-  for (auto _ : state) {
-    auto e = log_esp(lambda, n / 2);
-    benchmark::DoNotOptimize(e.back());
-  }
-}
-BENCHMARK(BM_LogEsp)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_EngineCacheBuild(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  RandomStream rng(11);
-  const Matrix l = random_npsd(n, rng, 0.5);
-  const std::vector<int> part_of(n, 0);
-  const std::vector<int> counts = {static_cast<int>(n / 4)};
-  for (auto _ : state) {
-    CharPolyEngine engine(l, part_of, 1, counts);
-    benchmark::DoNotOptimize(engine.log_count(counts).log_abs);
-  }
-}
-BENCHMARK(BM_EngineCacheBuild)->Arg(24)->Arg(48)->Arg(96);
-
-void BM_EngineJointMarginal(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  RandomStream rng(13);
-  const Matrix l = random_npsd(n, rng, 0.5);
-  const std::vector<int> part_of(n, 0);
-  const std::vector<int> counts = {static_cast<int>(n / 4)};
-  CharPolyEngine engine(l, part_of, 1, counts);
-  (void)engine.log_count(counts);  // force cache
-  const std::vector<int> batch = {0, 2, 5};
-  const std::vector<int> rest = {static_cast<int>(n / 4) - 3};
-  for (auto _ : state) {
-    auto c = engine.log_count_superset(batch, rest);
-    benchmark::DoNotOptimize(c.log_abs);
-  }
-}
-BENCHMARK(BM_EngineJointMarginal)->Arg(24)->Arg(48)->Arg(96);
-
-// --- scalar-vs-dispatched kernel series (bench-out/BENCH_linalg_micro) ---
+/// Makes the compiler assume `value` is read, so the timed kernel that
+/// produced it cannot be optimized away.
+void keep(double value) { asm volatile("" : : "g"(value) : "memory"); }
 
 using bench::JsonSeries;
 
-/// Wall clocks of one kernel on both dispatch arms, per call.
-struct ArmTiming {
-  double dispatched_ms = 0.0;
-  double scalar_ms = 0.0;
-};
+constexpr int kTrials = 9;
 
-/// Times `fn` under the latched dispatch path and under a forced scalar
-/// override: one untimed warmup per arm, then `repeats` timed passes of
-/// `iters` calls each, *interleaving* the arms so slow host drift hits
-/// both equally, keeping the minimum per arm. The sample-level protocol
-/// of run_thread_sweep, specialized to the two-arm comparison.
+/// Per-call times of `fn`, `iters` calls per trial, on two arms: the
+/// forced scalar path (arm 0) and the latched dispatch path (arm 1).
 template <typename Fn>
-ArmTiming time_arms(int repeats, int iters, Fn&& fn) {
-  {
-    const simd::ScopedPathOverride scalar_arm(simd::Path::kScalar);
-    fn();
-  }
-  fn();
-  ArmTiming best;
-  for (int r = 0; r < repeats; ++r) {
-    {
-      const simd::ScopedPathOverride scalar_arm(simd::Path::kScalar);
-      Timer timer;
-      for (int i = 0; i < iters; ++i) fn();
-      const double ms = timer.millis();
-      if (r == 0 || ms < best.scalar_ms) best.scalar_ms = ms;
-    }
-    {
-      Timer timer;
-      for (int i = 0; i < iters; ++i) fn();
-      const double ms = timer.millis();
-      if (r == 0 || ms < best.dispatched_ms) best.dispatched_ms = ms;
-    }
-  }
-  best.dispatched_ms /= iters;
-  best.scalar_ms /= iters;
-  return best;
+bench::Trials kernel_trials(int iters, Fn&& fn) {
+  bench::Trials trials = bench::run_trials(2, kTrials, [&](std::size_t arm) {
+    std::optional<simd::ScopedPathOverride> scalar;
+    if (arm == 0) scalar.emplace(simd::Path::kScalar);
+    for (int i = 0; i < iters; ++i) fn();
+  });
+  trials.per(iters);
+  return trials;
 }
 
 /// Emits one record of the series and prints the matching table row.
-/// `headline` marks the two kernels the >=2x dispatch floor applies to.
+/// `headline` marks the two kernels the >=2x dispatch floor applies to;
+/// every other kernel records its speedup against a bound of 0 (no
+/// floor).
 void record_kernel(JsonSeries& json, bench::Table& table,
                    const char* kernel, std::size_t n, std::size_t d,
-                   bool headline, const ArmTiming& timing) {
-  const bool avx2_active = simd::active_path() == simd::Path::kAvx2;
-  const double speedup =
-      timing.dispatched_ms > 0.0 ? timing.scalar_ms / timing.dispatched_ms
-                                 : 1.0;
-  const double reported = bench::reported_speedup(speedup);
-  const bool regression = headline && avx2_active && reported < 2.0;
+                   bool headline, const bench::Trials& trials) {
+  const bool gated = headline && simd::active_path() == simd::Path::kAvx2;
+  const bench::RatioGate gate = trials.gate(0, 1, gated ? 2.0 : 0.0);
+  const bool regression = !gate.pass();
+  const bench::ArmTimes& scalar = trials.arms[0];
+  const bench::ArmTimes& dispatched = trials.arms[1];
   table.add_row({kernel, bench::fmt_int(n), bench::fmt_int(d),
-                 bench::fmt(timing.scalar_ms * 1e3, 1),
-                 bench::fmt(timing.dispatched_ms * 1e3, 1),
-                 bench::fmt(reported, 1) + "x",
-                 regression ? "REGRESSION" : (headline ? "ok" : "-")});
-  json.add_record(
+                 bench::fmt(scalar.median() * 1e3, 2),
+                 bench::fmt(dispatched.median() * 1e3, 2),
+                 bench::fmt(gate.q1, 2) + "x", bench::fmt(gate.median, 2) + "x",
+                 regression ? "REGRESSION" : (gated ? "ok" : "-")});
+  JsonSeries::Record record{
       {JsonSeries::text("experiment", "linalg_micro"),
        JsonSeries::text("kernel", kernel), JsonSeries::number("n", n),
-       JsonSeries::number("d", d),
-       JsonSeries::number("wall_ms", timing.dispatched_ms, 6),
-       JsonSeries::number("scalar_ms", timing.scalar_ms, 6),
-       JsonSeries::number("speedup", reported, 1),
-       JsonSeries::boolean("regression", regression)});
+       JsonSeries::number("d", d)},
+      bench::arm_fields("wall", dispatched),
+      bench::gate_fields("speedup", gate),
+      bench::trial_fields(trials)};
+  for (auto& field : bench::arm_fields("scalar", scalar))
+    record.measurement.push_back(std::move(field));
+  record.gate.push_back(JsonSeries::boolean("regression", regression));
+  json.add_record(std::move(record));
 }
 
 /// The scalar-vs-dispatched series at the shapes the samplers actually
@@ -286,9 +99,9 @@ int run_kernel_series() {
               std::getenv("PARDPP_SIMD") ? std::getenv("PARDPP_SIMD")
                                          : "unset");
   JsonSeries json;
-  bench::Table table({"kernel", "n", "d", "scalar_us", "dispatched_us",
-                      "speedup", "gate"});
-  constexpr int kRepeats = 5;
+  bench::Table table({"kernel", "n", "d", "scalar_med_us",
+                      "dispatched_med_us", "speedup_q1", "speedup_med",
+                      "gate"});
   constexpr std::size_t kD = 24;
 
   for (const std::size_t n : {std::size_t{256}, std::size_t{1024},
@@ -297,10 +110,10 @@ int run_kernel_series() {
     RandomStream rng(17);
     const Matrix b = random_gaussian(n, kD, rng);
     Matrix g(kD, kD);
-    const ArmTiming syrk = time_arms(kRepeats, iters, [&] {
+    const bench::Trials syrk = kernel_trials(iters, [&] {
       std::fill(g.flat().begin(), g.flat().end(), 0.0);
       sym_rank_k_update(g, 1.0, b.flat().data(), n, kD, kD);
-      benchmark::DoNotOptimize(g(0, 0));
+      keep(g(0, 0));
     });
     record_kernel(json, table, "syrk_ut", n, kD, /*headline=*/true, syrk);
   }
@@ -311,9 +124,9 @@ int run_kernel_series() {
     RandomStream rng(19);
     const Matrix a = random_gaussian(n, kD, rng);
     const Matrix b = random_gaussian(kD, kD, rng);
-    const ArmTiming gemm = time_arms(kRepeats, iters, [&] {
+    const bench::Trials gemm = kernel_trials(iters, [&] {
       Matrix c = multiply_transposed_b(a, b);
-      benchmark::DoNotOptimize(c(0, 0));
+      keep(c(0, 0));
     });
     record_kernel(json, table, "gemm_nt", n, kD, /*headline=*/true, gemm);
   }
@@ -323,9 +136,8 @@ int run_kernel_series() {
     RandomStream rng(23);
     const Matrix a = random_gaussian(2, n, rng);
     const int iters = static_cast<int>(262144 / n);
-    const ArmTiming dot = time_arms(kRepeats, iters, [&] {
-      benchmark::DoNotOptimize(
-          simd::dot(a.row(0).data(), a.row(1).data(), n));
+    const bench::Trials dot = kernel_trials(iters, [&] {
+      keep(simd::dot(a.row(0).data(), a.row(1).data(), n));
     });
     record_kernel(json, table, "dot", n, 1, /*headline=*/false, dot);
   }
@@ -348,10 +160,10 @@ int run_kernel_series() {
     if (chol.size() == kN) {
       const Matrix rhs = random_gaussian(kN, kD, rng);
       std::vector<double> work(kN * kD);
-      const ArmTiming solve = time_arms(kRepeats, 128, [&] {
+      const bench::Trials solve = kernel_trials(128, [&] {
         std::copy(rhs.flat().begin(), rhs.flat().end(), work.begin());
         chol.forward_solve_rows(work.data(), kD, kD);
-        benchmark::DoNotOptimize(work[0]);
+        keep(work[0]);
       });
       record_kernel(json, table, "forward_solve", kN, kD,
                     /*headline=*/false, solve);
@@ -366,21 +178,21 @@ int run_kernel_series() {
        {std::size_t{96}, std::size_t{128}, std::size_t{144}}) {
     const Matrix a = psd_fixture(n);
     const auto lu = lu_factor(a);
-    const ArmTiming eigen = time_arms(kRepeats, 4, [&] {
+    const bench::Trials eigen = kernel_trials(4, [&] {
       const auto eig = symmetric_eigen(a);
-      benchmark::DoNotOptimize(eig.vectors(0, 0));
+      keep(eig.vectors(0, 0));
     });
     record_kernel(json, table, "symmetric_eigen", n, 1, /*headline=*/false,
                   eigen);
-    const ArmTiming values = time_arms(kRepeats, 4, [&] {
+    const bench::Trials values = kernel_trials(4, [&] {
       const auto lambda = symmetric_eigenvalues(a);
-      benchmark::DoNotOptimize(lambda[0]);
+      keep(lambda[0]);
     });
     record_kernel(json, table, "symmetric_eigenvalues", n, 1,
                   /*headline=*/false, values);
-    const ArmTiming inverse = time_arms(kRepeats, 4, [&] {
+    const bench::Trials inverse = kernel_trials(4, [&] {
       const Matrix inv = lu.inverse();
-      benchmark::DoNotOptimize(inv(0, 0));
+      keep(inv(0, 0));
     });
     record_kernel(json, table, "lu_inverse", n, 1, /*headline=*/false,
                   inverse);
@@ -418,9 +230,9 @@ int run_kernel_series() {
       std::iota(rows.begin(), rows.end(), 0);
       std::vector<double> out;
       std::vector<double> out_abs;
-      const ArmTiming downdate = time_arms(kRepeats, 8, [&] {
+      const bench::Trials downdate = kernel_trials(8, [&] {
         probe.downdated_diag(rows, base, base, kVmax, out, out_abs);
-        benchmark::DoNotOptimize(out[0]);
+        keep(out[0]);
       });
       record_kernel(json, table, "diag_downdate", kN, kS,
                     /*headline=*/false, downdate);
@@ -434,14 +246,4 @@ int run_kernel_series() {
 
 }  // namespace
 
-/// No arguments: the JSON kernel series (what CI's bench smoke runs).
-/// Any argument (e.g. --benchmark_filter=...) switches to the
-/// interactive google-benchmark suite registered above.
-int main(int argc, char** argv) {
-  if (argc <= 1) return run_kernel_series();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return run_kernel_series(); }

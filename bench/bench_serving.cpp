@@ -28,7 +28,6 @@
 #include "serving/registry.h"
 #include "serving/server.h"
 #include "support/random.h"
-#include "support/timer.h"
 
 namespace {
 
@@ -44,8 +43,9 @@ struct ServingBenchConfig {
   std::size_t k = 10;
   std::size_t requests = 16;           // concurrent clients per pass
   std::size_t draws_per_request = 1;   // each client asks for one draw
-  int repeats = 3;
 };
+
+constexpr int kTrials = 9;
 
 std::uint64_t request_seed(std::size_t r) { return 771000 + 37 * r; }
 
@@ -78,7 +78,6 @@ int main() {
     return std::unique_ptr<CountingOracle>(
         std::make_unique<SymmetricKdppOracle>(l, k, /*validate=*/false));
   };
-  const std::size_t total_draws = config.requests * config.draws_per_request;
 
   // Bit-identity reference: each request standalone — its own session,
   // its own stream from its own seed, serial execution.
@@ -100,113 +99,95 @@ int main() {
 
   JsonSeries json;
   bool any_regression = false;
-  Table table({"pool", "wall_ms", "draws_per_sec", "persession_ms",
-               "persession_dps", "speedup", "batches", "coalesced/batch",
-               "identical"});
+  Table table({"pool", "best_ms", "median_ms", "persession_best_ms",
+               "persession_median_ms", "speedup_q1", "speedup_med",
+               "coalesced/batch", "identical", "gate"});
 
   for (const std::size_t pool_size : pools) {
-    // --- coalesced serving (registry-shared session, batched dispatch) ---
+    // Arm 0: one session per request, what a registry-less server does
+    // with every wire request: build the oracle from the kernel and prime
+    // a fresh session (the exact work the registry factory pays once),
+    // then draw. Sharing a warmed oracle across requests would hide the
+    // whole cost being amortized. Arm 1: coalesced serving through the
+    // registry-shared session with batched dispatch; its warmup call
+    // primes the registry entry.
     serving::ServingConfig serving_config;
     serving_config.pool_threads = pool_size;
     serving::SamplingServer server(serving_config);
-    const auto serve_pass = [&] {
-      std::vector<std::future<std::vector<SampleResult>>> futures;
-      futures.reserve(config.requests);
-      for (std::size_t r = 0; r < config.requests; ++r) {
-        serving::ServerRequest request;
-        request.fingerprint = fingerprint;
-        request.resident_bytes = std::size_t{1} << 16;
-        request.make_oracle = factory;
-        request.count = config.draws_per_request;
-        request.seed = request_seed(r);
-        futures.push_back(server.submit(std::move(request)));
-      }
-      std::vector<std::vector<SampleResult>> results;
-      results.reserve(config.requests);
-      for (auto& future : futures) results.push_back(future.get());
-      return results;
-    };
-    (void)serve_pass();  // warmup: prime the registry entry
-    const serving::ServerStats warm = server.stats();
-    double serve_ms = 0.0;
-    std::vector<std::vector<std::vector<int>>> serve_items;
-    for (int pass = 0; pass < config.repeats; ++pass) {
-      Timer timer;
-      auto results = serve_pass();
-      const double ms = timer.millis();
-      if (pass == 0 || ms < serve_ms) serve_ms = ms;
-      if (pass == 0) serve_items = items_of(std::move(results));
-    }
-    const serving::ServerStats stats = server.stats();
-    const std::uint64_t batches = stats.batches - warm.batches;
-    const std::uint64_t coalesced =
-        stats.coalesced_requests - warm.coalesced_requests;
-    const double coalesced_per_batch =
-        batches == 0 ? 0.0
-                     : static_cast<double>(coalesced) /
-                           static_cast<double>(batches);
-
-    // --- one-session-per-request baseline at the same pool size ---
-    // What a registry-less server does with every wire request: build
-    // the oracle from the kernel and prime a fresh session (the exact
-    // work the registry factory pays once), then draw. Sharing a warmed
-    // oracle across requests would hide the whole cost being amortized.
     ThreadPool pool(pool_size);
     const ExecutionContext ctx(&pool, nullptr);
-    double persession_ms = 0.0;
-    std::vector<std::vector<std::vector<int>>> persession_items;
-    for (int pass = 0; pass < config.repeats; ++pass) {
-      Timer timer;
+    std::vector<std::vector<std::vector<std::vector<int>>>> items(2);
+    const Trials trials = run_trials(2, kTrials, [&](std::size_t arm) {
       std::vector<std::vector<SampleResult>> results(config.requests);
-      for (std::size_t r = 0; r < config.requests; ++r) {
-        const auto base = factory();     // oracle built per request
-        SamplerSession session(*base);   // priming paid per request
-        RandomStream rng(request_seed(r));
-        results[r] =
-            session.draw_many(config.draws_per_request, rng, ctx);
+      if (arm == 0) {
+        for (std::size_t r = 0; r < config.requests; ++r) {
+          const auto base = factory();     // oracle built per request
+          SamplerSession session(*base);   // priming paid per request
+          RandomStream rng(request_seed(r));
+          results[r] = session.draw_many(config.draws_per_request, rng, ctx);
+        }
+      } else {
+        std::vector<std::future<std::vector<SampleResult>>> futures;
+        futures.reserve(config.requests);
+        for (std::size_t r = 0; r < config.requests; ++r) {
+          serving::ServerRequest request;
+          request.fingerprint = fingerprint;
+          request.resident_bytes = std::size_t{1} << 16;
+          request.make_oracle = factory;
+          request.count = config.draws_per_request;
+          request.seed = request_seed(r);
+          futures.push_back(server.submit(std::move(request)));
+        }
+        for (std::size_t r = 0; r < config.requests; ++r)
+          results[r] = futures[r].get();
       }
-      const double ms = timer.millis();
-      if (pass == 0 || ms < persession_ms) persession_ms = ms;
-      if (pass == 0) persession_items = items_of(std::move(results));
-    }
+      items[arm] = items_of(std::move(results));
+    });
+    std::printf("pool %zu: ", pool_size);
+    trials.print_note();
+    const serving::ServerStats stats = server.stats();
+    const double coalesced_per_batch =
+        stats.batches == 0 ? 0.0
+                           : static_cast<double>(stats.coalesced_requests) /
+                                 static_cast<double>(stats.batches);
 
-    const bool identical =
-        serve_items == reference && persession_items == reference;
-    const double serve_dps =
-        1000.0 * static_cast<double>(total_draws) / serve_ms;
-    const double persession_dps =
-        1000.0 * static_cast<double>(total_draws) / persession_ms;
-    const double speedup = persession_ms / serve_ms;
+    const bool identical = items[0] == reference && items[1] == reference;
     // The serving-stack acceptance gate: coalesced serving sustains
     // >= 1.5x the one-session-per-request draws/sec, results identical.
-    const bool regression = speedup < 1.5 || !identical;
+    const RatioGate gate = trials.gate(0, 1, 1.5);
+    const bool regression = !gate.pass() || !identical;
     any_regression = any_regression || regression;
 
-    table.add_row({fmt_int(pool_size), fmt(serve_ms, 1), fmt(serve_dps, 1),
-                   fmt(persession_ms, 1), fmt(persession_dps, 1),
-                   fmt(speedup, 2), fmt_int(batches),
-                   fmt(coalesced_per_batch, 1), identical ? "yes" : "NO"});
-    json.add_record(
+    const ArmTimes& serve = trials.arms[1];
+    const ArmTimes& persession = trials.arms[0];
+    table.add_row({fmt_int(pool_size), fmt(serve.best(), 1),
+                   fmt(serve.median(), 1), fmt(persession.best(), 1),
+                   fmt(persession.median(), 1), fmt(gate.q1, 2),
+                   fmt(gate.median, 2), fmt(coalesced_per_batch, 1),
+                   identical ? "yes" : "NO",
+                   regression ? "REGRESSION" : "ok"});
+    JsonSeries::Record record{
         {JsonSeries::text("experiment", "serving_coalescing"),
          JsonSeries::text("family", "symmetric"),
-         JsonSeries::number("n", config.n),
-         JsonSeries::number("k", config.k),
+         JsonSeries::number("n", config.n), JsonSeries::number("k", config.k),
          JsonSeries::number("requests", config.requests),
          JsonSeries::number("draws_per_request", config.draws_per_request),
-         JsonSeries::number("pool", pool_size),
-         JsonSeries::number("wall_ms", serve_ms, 3),
-         JsonSeries::number("persession_wall_ms", persession_ms, 3),
-         JsonSeries::number("draws_per_sec", serve_dps, 1),
-         JsonSeries::number("persession_draws_per_sec", persession_dps, 1),
-         JsonSeries::number("speedup_vs_persession", speedup, 2),
-         JsonSeries::number("batches", static_cast<std::size_t>(batches)),
-         JsonSeries::number("coalesced_per_batch", coalesced_per_batch, 2),
-         JsonSeries::number("max_coalesced",
-                            static_cast<std::size_t>(stats.max_coalesced)),
-         JsonSeries::number("queue_peak", stats.queue_peak),
-         JsonSeries::number("sessions", stats.registry.sessions),
-         JsonSeries::text("identical", identical ? "yes" : "no"),
-         JsonSeries::boolean("regression", regression)});
+         JsonSeries::number("pool", pool_size)},
+        arm_fields("wall", serve),
+        gate_fields("speedup_vs_persession", gate),
+        trial_fields(trials)};
+    for (auto& field : arm_fields("persession_wall", persession))
+      record.measurement.push_back(std::move(field));
+    record.measurement.push_back(JsonSeries::number(
+        "batches", static_cast<std::size_t>(stats.batches)));
+    record.measurement.push_back(
+        JsonSeries::number("coalesced_per_batch", coalesced_per_batch, 2));
+    record.measurement.push_back(
+        JsonSeries::number("queue_peak", stats.queue_peak));
+    record.gate.push_back(
+        JsonSeries::text("identical", identical ? "yes" : "no"));
+    record.gate.push_back(JsonSeries::boolean("regression", regression));
+    json.add_record(std::move(record));
   }
 
   std::printf("\n%zu requests x %zu draws, dense symmetric n=%zu k=%zu; "

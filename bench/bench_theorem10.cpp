@@ -15,7 +15,6 @@
 #include "linalg/factory.h"
 #include "parallel/execution.h"
 #include "parallel/pram.h"
-#include "parallel/thread_pool.h"
 #include "sampling/batched.h"
 #include "sampling/sequential.h"
 #include "support/random.h"
@@ -166,52 +165,20 @@ void thread_scaling() {
   Matrix l = rbf_kernel(points, 0.25);
   for (std::size_t i = 0; i < n; ++i) l(i, i) += 1e-6;
   const std::uint64_t seed = 424242;
-  const int repeats = 9;
+  constexpr int kTrials = 15;
   const SymmetricKdppOracle oracle(l, k, /*validate=*/false);
   // Warm the oracle's lazy eigen/ESP/marginal caches outside the timed
   // region so the pool-size-1 baseline is not penalized with the
   // one-time build.
   oracle.prepare_concurrent();
 
-  const auto sweep =
-      run_thread_sweep(repeats, [&](const ExecutionContext& ctx) {
+  report_thread_sweep(
+      "theorem10_thread_sweep", "BENCH_theorem10_threads.json",
+      {JsonSeries::number("k", k), JsonSeries::number("n", n)}, kTrials,
+      [&](const ExecutionContext& ctx) {
         RandomStream rng(seed);
         return sample_batched(oracle, rng, ctx);
       });
-
-  Table table({"pool", "wall_ms", "speedup", "pram_depth", "q_per_wave",
-               "pram_machines", "sample_hash", "identical"});
-  JsonSeries json;
-  bool any_regression = false;
-  for (const SweepPoint& point : sweep) {
-    std::uint64_t hash = 1469598103934665603ULL;
-    for (const int item : point.items)
-      hash = (hash ^ static_cast<std::uint64_t>(item)) * 1099511628211ULL;
-    const double speedup = reported_speedup(point.speedup);
-    const bool regression = speedup < 1.0;
-    any_regression = any_regression || regression;
-    table.add_row({fmt_int(point.pool_size), fmt(point.wall_ms, 1),
-                   fmt(speedup, 1), fmt(point.pram.depth / repeats, 1),
-                   fmt(point.diag.queries_per_wave(), 2),
-                   fmt_int(point.pram.max_machines),
-                   fmt(static_cast<double>(hash % 1000000), 0),
-                   point.identical ? "yes" : "NO"});
-    json.add_record(
-        {JsonSeries::text("experiment", "theorem10_thread_sweep"),
-         JsonSeries::number("k", k), JsonSeries::number("n", n),
-         JsonSeries::number("pool", point.pool_size),
-         JsonSeries::number("wall_ms", point.wall_ms, 3),
-         JsonSeries::number("speedup", speedup, 1),
-         JsonSeries::number("pram_depth", point.pram.depth / repeats, 2),
-         JsonSeries::number("queries_per_wave",
-                            point.diag.queries_per_wave(), 2),
-         JsonSeries::text("identical", point.identical ? "yes" : "no"),
-         JsonSeries::boolean("regression", regression)});
-  }
-  table.print();
-  if (any_regression)
-    std::printf("! REGRESSION: a pool size reported speedup < 1.0\n");
-  json.write(bench_out_path("BENCH_theorem10_threads.json"));
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "linalg/factory.h"
 #include "linalg/symmetric_eigen.h"
 #include "parallel/execution.h"
-#include "parallel/thread_pool.h"
 #include "sampling/filtering.h"
 #include "sampling/unconstrained.h"
 #include "support/random.h"
@@ -144,41 +143,14 @@ int main() {
   const Matrix kernel4 = kernel_with_spectrum(spectrum4, rng4);
   const Matrix l4 = ensemble_from_kernel(kernel4);
   const std::uint64_t seed4 = 515151;
-  const int repeats = 9;
+  constexpr int kTrials = 15;
 
-  const auto points =
-      run_thread_sweep(repeats, [&](const ExecutionContext& ctx) {
+  report_thread_sweep(
+      "theorem41_thread_sweep", "BENCH_theorem41_threads.json",
+      {JsonSeries::number("n", n4), JsonSeries::number("sigma", sigma4, 3)},
+      kTrials, [&](const ExecutionContext& ctx) {
         RandomStream run_rng(seed4);
         return sample_filtering_dpp(l4, run_rng, ctx);
       });
-
-  Table table4({"pool", "wall_ms", "speedup", "rounds", "|S|", "identical"});
-  JsonSeries json;
-  bool any_regression = false;
-  for (const SweepPoint& point : points) {
-    const std::size_t rounds =
-        point.pram.rounds / static_cast<std::size_t>(repeats);
-    const double speedup = reported_speedup(point.speedup);
-    const bool regression = speedup < 1.0;
-    any_regression = any_regression || regression;
-    table4.add_row({fmt_int(point.pool_size), fmt(point.wall_ms, 1),
-                    fmt(speedup, 1), fmt_int(rounds),
-                    fmt_int(point.items.size()),
-                    point.identical ? "yes" : "NO"});
-    json.add_record(
-        {JsonSeries::text("experiment", "theorem41_thread_sweep"),
-         JsonSeries::number("n", n4),
-         JsonSeries::number("sigma", sigma4, 3),
-         JsonSeries::number("pool", point.pool_size),
-         JsonSeries::number("wall_ms", point.wall_ms, 3),
-         JsonSeries::number("speedup", speedup, 1),
-         JsonSeries::number("rounds", rounds),
-         JsonSeries::text("identical", point.identical ? "yes" : "no"),
-         JsonSeries::boolean("regression", regression)});
-  }
-  table4.print();
-  if (any_regression)
-    std::printf("! REGRESSION: a pool size reported speedup < 1.0\n");
-  json.write(bench_out_path("BENCH_theorem41_threads.json"));
   return 0;
 }

@@ -19,10 +19,8 @@
 #include "dpp/symmetric_oracle.h"
 #include "linalg/factory.h"
 #include "parallel/execution.h"
-#include "parallel/thread_pool.h"
 #include "sampling/session.h"
 #include "support/random.h"
-#include "support/timer.h"
 
 namespace {
 
@@ -35,8 +33,11 @@ struct ThroughputConfig {
   std::size_t d = 0;  // 0 = dense symmetric
   std::size_t k = 0;
   std::size_t samples = 0;
-  int repeats = 3;
+  // Target speedup of the commit path over the condition() reference.
+  double target = 0.0;
 };
+
+constexpr int kTrials = 9;
 
 std::vector<std::vector<int>> items_of(std::vector<SampleResult> results) {
   std::vector<std::vector<int>> out;
@@ -51,9 +52,8 @@ std::size_t refreshes_of(const std::vector<SampleResult>& results) {
   return total;
 }
 
-void run_config(const CountingOracle& oracle, const ThroughputConfig& config,
-                JsonSeries& json, bool& any_regression,
-                bool& any_below_target) {
+bool run_config(const CountingOracle& oracle, const ThroughputConfig& config,
+                JsonSeries& json) {
   SessionOptions commit_options;
   SessionOptions reference_options;
   reference_options.use_commit = false;
@@ -61,113 +61,84 @@ void run_config(const CountingOracle& oracle, const ThroughputConfig& config,
   SamplerSession reference_session(oracle, reference_options);
   const std::uint64_t seed = 884422;
 
-  // The per-sample condition() baseline, serial: every draw re-derives
-  // the base preprocessing and every accepted round a conditioned oracle.
-  double reference_ms = 0.0;
-  std::vector<std::vector<int>> reference_items;
-  for (int r = 0; r < config.repeats; ++r) {
-    RandomStream rng(seed);
-    Timer timer;
-    auto results = reference_session.draw_many(config.samples, rng,
-                                               ExecutionContext::serial());
-    const double ms = timer.millis();
-    if (r == 0 || ms < reference_ms) reference_ms = ms;
-    if (r == 0) reference_items = items_of(std::move(results));
-  }
-  const double reference_sps =
-      1000.0 * static_cast<double>(config.samples) / reference_ms;
+  // Arms: the commit path at each pool size, then the per-sample
+  // condition() reference, serial: every draw re-derives the base
+  // preprocessing and every accepted round a conditioned oracle.
+  const PoolArms pools;
+  const std::size_t reference = pools.size();
+  std::vector<std::vector<std::vector<int>>> items(pools.size() + 1);
+  std::vector<std::size_t> refreshes(pools.size() + 1, 0);
+  const Trials trials =
+      run_trials(pools.size() + 1, kTrials, [&](std::size_t arm) {
+        RandomStream rng(seed);
+        auto results =
+            arm == reference
+                ? reference_session.draw_many(config.samples, rng,
+                                              ExecutionContext::serial())
+                : pools.run(arm, [&](const ExecutionContext& ctx) {
+                    return commit_session.draw_many(config.samples, rng, ctx);
+                  });
+        refreshes[arm] = refreshes_of(results);
+        items[arm] = items_of(std::move(results));
+      });
 
-  // Same measurement protocol as run_thread_sweep: one untimed warmup per
-  // pool size, then timed passes *interleaved* across the pool sizes so
-  // slow host drift hits every point equally; minimum-of-passes since
-  // scheduler noise is strictly additive on a deterministic workload.
-  const std::vector<std::size_t> sizes = thread_sweep();
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  pools.reserve(sizes.size());
-  for (const std::size_t pool_size : sizes)
-    pools.push_back(std::make_unique<ThreadPool>(pool_size));
-  std::vector<double> wall_ms(sizes.size(), 0.0);
-  std::vector<std::vector<std::vector<int>>> items(sizes.size());
-  std::vector<std::size_t> refreshes(sizes.size(), 0);
-  for (std::size_t p = 0; p < sizes.size(); ++p) {
-    const ScopedLinalgPool linalg_guard(pools[p].get());
-    const ExecutionContext ctx(pools[p].get(), nullptr);
-    RandomStream rng(seed);  // untimed warmup
-    (void)commit_session.draw_many(config.samples, rng, ctx);
-  }
-  for (int r = 0; r < config.repeats; ++r) {
-    for (std::size_t p = 0; p < sizes.size(); ++p) {
-      const ScopedLinalgPool linalg_guard(pools[p].get());
-      const ExecutionContext ctx(pools[p].get(), nullptr);
-      RandomStream rng(seed);
-      Timer timer;
-      auto results = commit_session.draw_many(config.samples, rng, ctx);
-      const double ms = timer.millis();
-      if (r == 0 || ms < wall_ms[p]) wall_ms[p] = ms;
-      if (r == 0) {
-        refreshes[p] = refreshes_of(results);
-        items[p] = items_of(std::move(results));
-      }
-    }
-  }
-
-  Table table({"pool", "wall_ms", "samples_per_sec", "vs_pool1",
-               "vs_condition", "refreshes", "identical"});
-  for (std::size_t p = 0; p < sizes.size(); ++p) {
-    const std::size_t pool_size = sizes[p];
+  Table table({"pool", "best_ms", "median_ms", "iqr", "samples_per_sec",
+               "vs_pool1_q1", "vs_condition_q1", "vs_condition_med",
+               "refreshes", "identical", "gate"});
+  bool any_regression = false;
+  for (std::size_t p = 0; p < pools.size(); ++p) {
+    const ArmTimes& arm = trials.arms[p];
     const bool identical =
-        items[p] == items[0] && items[p] == reference_items;
-    const double sps =
-        1000.0 * static_cast<double>(config.samples) / wall_ms[p];
-    const double vs_pool1 = reported_speedup(wall_ms[0] / wall_ms[p]);
-    const double vs_condition = reference_ms / wall_ms[p];
-    const bool regression = vs_pool1 < 1.0;
-    any_regression = any_regression || regression || !identical;
-    // Acceptance targets over the per-sample condition() baseline at
-    // n >= 128: >= 7x for the low-rank family, and >= 14x for the dense
-    // symmetric family. The commit path runs factor-native (Cholesky
-    // downdates + Newton ESPs per accepted round) while the baseline
-    // re-runs the spectral preprocessing per draw; the dispatched SIMD
-    // kernels under both widened the gap (measured 8.9x / 18.7x on the
-    // reference container with AVX2 active), so the gates sit about a
-    // 20-25% margin below measurement. The `refreshes` column counts
-    // eigensolve fallbacks paid by the commit path — 0 on
-    // well-conditioned kernels.
-    if (config.d != 0 && config.n >= 128 && vs_condition < 7.0)
-      any_below_target = true;
-    if (config.d == 0 && config.n >= 128 && vs_condition < 14.0)
-      any_below_target = true;
-    table.add_row({fmt_int(pool_size), fmt(wall_ms[p], 1), fmt(sps, 1),
-                   fmt(vs_pool1, 1), fmt(vs_condition, 1),
-                   fmt_int(refreshes[p]), identical ? "yes" : "NO"});
-    json.add_record(
+        items[p] == items[0] && items[p] == items[reference];
+    const RatioGate scaling = trials.gate(0, p, 1.0);
+    // The acceptance target over the per-sample condition() reference
+    // (7x low-rank, 14x dense symmetric). The commit path runs
+    // factor-native (Cholesky downdates + Newton ESPs per accepted round)
+    // while the reference re-runs the spectral preprocessing per draw.
+    // The `refreshes` column counts eigensolve fallbacks paid by the
+    // commit path — 0 on well-conditioned kernels.
+    const RatioGate target = trials.gate(reference, p, config.target);
+    const bool regression = !scaling.pass() || !target.pass() || !identical;
+    any_regression = any_regression || regression;
+    table.add_row(
+        {fmt_int(pools.pool_size(p)), fmt(arm.best(), 1),
+         fmt(arm.median(), 1), fmt(100.0 * arm.iqr() / arm.median(), 0) + "%",
+         fmt(1000.0 * static_cast<double>(config.samples) / arm.median(), 1),
+         fmt(scaling.q1, 2), fmt(target.q1, 1), fmt(target.median, 1),
+         fmt_int(refreshes[p]), identical ? "yes" : "NO",
+         regression ? "REGRESSION" : "ok"});
+    JsonSeries::Record record{
         {JsonSeries::text("experiment", "session_throughput"),
          JsonSeries::text("family", config.family),
          JsonSeries::number("n", config.n), JsonSeries::number("d", config.d),
          JsonSeries::number("k", config.k),
          JsonSeries::number("samples", config.samples),
-         JsonSeries::number("pool", pool_size),
-         JsonSeries::number("wall_ms", wall_ms[p], 3),
-         JsonSeries::number("samples_per_sec", sps, 1),
-         JsonSeries::number("speedup", vs_pool1, 1),
-         JsonSeries::number("speedup_vs_condition", vs_condition, 2),
-         JsonSeries::number("spectral_refreshes", refreshes[p]),
-         // Session-lifetime guard-failure counter (convention 12): a
-         // non-identity informational field for compare_bench.py, and a
-         // cheap sentinel that the bench ran failure-free (0 unless a
-         // PARDPP_FAILPOINTS schedule was armed under the bench). The
-         // session runs with recovery and distillation off, so it never
-         // retries or degrades.
-         JsonSeries::number("guard_failures",
-                            commit_session.health().failures),
-         JsonSeries::number("condition_baseline_ms", reference_ms, 3),
-         JsonSeries::text("identical", identical ? "yes" : "no"),
-         JsonSeries::boolean("regression", regression || !identical)});
+         JsonSeries::number("pool", pools.pool_size(p))},
+        arm_fields("wall", arm),
+        gate_fields("speedup", scaling),
+        trial_fields(trials)};
+    for (auto& field : arm_fields("condition", trials.arms[reference]))
+      record.measurement.push_back(std::move(field));
+    record.measurement.push_back(
+        JsonSeries::number("spectral_refreshes", refreshes[p]));
+    // Session-lifetime guard-failure counter (convention 12): 0 unless a
+    // PARDPP_FAILPOINTS schedule was armed under the bench.
+    record.measurement.push_back(JsonSeries::number(
+        "guard_failures", commit_session.health().failures));
+    for (auto& field : gate_fields("vs_condition", target))
+      record.gate.push_back(std::move(field));
+    record.gate.push_back(
+        JsonSeries::text("identical", identical ? "yes" : "no"));
+    record.gate.push_back(JsonSeries::boolean("regression", regression));
+    json.add_record(std::move(record));
   }
-  std::printf("\ncondition() baseline: %.1f ms for %zu samples "
-              "(%.1f samples/sec)\n",
-              reference_ms, config.samples, reference_sps);
+  std::printf("\ncondition() reference: best %.1f ms, median %.1f ms for %zu "
+              "samples (target: commit path >= %.0fx at q1)\n",
+              trials.arms[reference].best(), trials.arms[reference].median(),
+              config.samples, config.target);
   table.print();
+  trials.print_note();
+  return any_regression;
 }
 
 }  // namespace
@@ -181,35 +152,32 @@ int main() {
       "bit-identical samples at every pool size");
   JsonSeries json;
   bool any_regression = false;
-  bool any_below_target = false;
   RandomStream setup(880099);
 
   {
     ThroughputConfig config{"feature", /*n=*/1024, /*d=*/24, /*k=*/8,
-                            /*samples=*/24};
+                            /*samples=*/24, /*target=*/7.0};
     std::printf("\n-- low-rank feature family: n=%zu d=%zu k=%zu --\n",
                 config.n, config.d, config.k);
     const Matrix features = random_gaussian(config.n, config.d, setup);
     const FeatureKdppOracle oracle(features, config.k);
-    run_config(oracle, config, json, any_regression, any_below_target);
+    any_regression = run_config(oracle, config, json) || any_regression;
   }
   {
     ThroughputConfig config{"symmetric", /*n=*/128, /*d=*/0, /*k=*/10,
-                            /*samples=*/8};
+                            /*samples=*/8, /*target=*/14.0};
     std::printf("\n-- dense symmetric family: n=%zu k=%zu --\n", config.n,
                 config.k);
     const Matrix l = random_psd(config.n, config.n, setup, 1e-5);
     const SymmetricKdppOracle oracle(l, config.k, /*validate=*/false);
-    run_config(oracle, config, json, any_regression, any_below_target);
+    any_regression = run_config(oracle, config, json) || any_regression;
   }
 
   if (any_regression)
-    std::printf("\n! REGRESSION: a pool size lost to pool 1 or diverged "
-                "from the condition() reference\n");
-  if (any_below_target)
-    std::printf("\n! TARGET MISSED: commit path below its family target "
-                "(7x low-rank, 14x dense symmetric) over the condition() "
-                "baseline\n");
+    std::printf("\n! REGRESSION: a pool size lost to pool 1, the commit "
+                "path missed its family target (7x low-rank, 14x dense "
+                "symmetric) over the condition() reference, or a sample "
+                "diverged from that reference (all gates at q1)\n");
   json.write(bench_out_path("BENCH_throughput.json"));
   return 0;
 }

@@ -1,10 +1,15 @@
 // Shared helpers for the experiment harness binaries.
 //
-// Every bench prints: a header naming the experiment (DESIGN.md §3 index),
-// the paper claim being reproduced, and an aligned table of measured
-// series. EXPERIMENTS.md records paper-vs-measured for each.
+// Every bench prints: a header naming the experiment (DESIGN.md §3, the
+// experiment index), the paper claim being reproduced, and an aligned
+// table of measured series. Every timed comparison goes through
+// run_trials (warmed arms, interleaved trials, every trial's time kept),
+// and every timing gate through RatioGate: two arms are compared trial
+// by trial, and the gate passes only when the lower quartile of those
+// per-trial speedups clears its bound.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -87,106 +92,167 @@ inline std::string bench_out_path(const std::string& name) {
   return (std::filesystem::path("bench-out") / name).string();
 }
 
-/// Pool sizes for wall-clock scaling sweeps: {1, 2, 4, hardware}, deduped
-/// ascending. Pools wider than the hardware still run (the determinism
-/// check across pool sizes is what matters there); only the speedup
-/// column is meaningful relative to the actual core count.
-inline std::vector<std::size_t> thread_sweep() {
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  std::vector<std::size_t> sweep = {1, 2, 4};
-  if (hw > 4) sweep.push_back(hw);
-  return sweep;
+/// Linear-interpolation quantile (numpy's default rule) of the non-empty
+/// `values` at `q` in [0, 1].
+inline double quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
 }
 
-/// RAII attachment of a pool to the global linalg context, so the pool is
-/// detached before destruction even when a sampler throws mid-sweep.
-class ScopedLinalgPool {
+/// One arm's wall clocks from run_trials, one per trial in trial order.
+struct ArmTimes {
+  std::vector<double> ms;
+
+  [[nodiscard]] double best() const {
+    return *std::min_element(ms.begin(), ms.end());
+  }
+  [[nodiscard]] double median() const { return quantile(ms, 0.5); }
+  [[nodiscard]] double iqr() const {
+    return quantile(ms, 0.75) - quantile(ms, 0.25);
+  }
+};
+
+/// A gate on per-trial speedups. It passes only when their lower quartile
+/// is at or above the bound: about three trials in four must clear it, so
+/// neither one lucky trial passes a gate nor one unlucky trial fails it.
+struct RatioGate {
+  double q1 = 0.0;
+  double median = 0.0;
+  double bound = 0.0;
+
+  [[nodiscard]] bool pass() const { return q1 >= bound; }
+};
+
+inline RatioGate ratio_gate(const std::vector<double>& speedups,
+                            double bound) {
+  return {quantile(speedups, 0.25), quantile(speedups, 0.5), bound};
+}
+
+/// The aggregate tick counters of /proc/stat (user nice system idle
+/// iowait irq softirq steal); empty where the file does not exist.
+inline std::vector<double> cpu_ticks() {
+  std::ifstream stat("/proc/stat");
+  std::string label;
+  stat >> label;
+  std::vector<double> ticks;
+  double value = 0.0;
+  while (ticks.size() < 8 && stat >> value) ticks.push_back(value);
+  return ticks;
+}
+
+/// What run_trials measured: every arm's per-trial wall clocks, and the
+/// share of host CPU time the hypervisor stole while they ran.
+struct Trials {
+  std::vector<ArmTimes> arms;
+  double steal_frac = 0.0;
+
+  /// Per-trial speedup of `arm` over `base`: base's time over arm's time
+  /// within each trial.
+  [[nodiscard]] std::vector<double> speedups(std::size_t base,
+                                             std::size_t arm) const {
+    std::vector<double> out(arms[arm].ms.size());
+    for (std::size_t t = 0; t < out.size(); ++t)
+      out[t] = arms[base].ms[t] / arms[arm].ms[t];
+    return out;
+  }
+  [[nodiscard]] RatioGate gate(std::size_t base, std::size_t arm,
+                               double bound) const {
+    return ratio_gate(speedups(base, arm), bound);
+  }
+  /// Divides every time by `units`, for arms whose call does `units`
+  /// units of work.
+  void per(double units) {
+    for (ArmTimes& arm : arms)
+      for (double& ms : arm.ms) ms /= units;
+  }
+  void print_note() const {
+    std::printf("%zu interleaved trials per arm, host steal %.1f%%; gates "
+                "read the lower quartile (q1)\n",
+                arms[0].ms.size(), 100.0 * steal_frac);
+  }
+};
+
+/// The one measurement protocol of every timed comparison in the benches.
+/// `run(a)` runs arm `a` once: a pool size, a dispatch arm, a serving
+/// architecture, a reference path. Every arm first runs once untimed
+/// (allocator, caches, lazy set-up); then each of `trials` trials runs
+/// every arm once, the order of the arms rotating from trial to trial so
+/// neither host drift nor position within a trial favours an arm. The
+/// arms of one trial run back to back, which is why gates compare arms
+/// trial by trial. `run` must reseed its own streams so every call does
+/// the same work.
+template <typename RunArm>
+Trials run_trials(std::size_t arms, int trials, RunArm&& run) {
+  for (std::size_t a = 0; a < arms; ++a) run(a);
+  Trials out;
+  out.arms.resize(arms);
+  const std::vector<double> before = cpu_ticks();
+  for (int t = 0; t < trials; ++t) {
+    for (std::size_t i = 0; i < arms; ++i) {
+      const std::size_t a = (static_cast<std::size_t>(t) + i) % arms;
+      const Timer timer;
+      run(a);
+      out.arms[a].ms.push_back(timer.millis());
+    }
+  }
+  const std::vector<double> after = cpu_ticks();
+  if (before.size() == 8 && after.size() == 8) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < 8; ++i) total += after[i] - before[i];
+    if (total > 0.0) out.steal_frac = (after[7] - before[7]) / total;
+  }
+  return out;
+}
+
+/// One thread pool per pool size {1, 2, 4, hardware}, deduped ascending:
+/// the arms of a scaling sweep, arm 0 being pool size 1. Pools wider than
+/// the hardware still run (the determinism check across pool sizes is
+/// what matters there); only their speedups depend on the core count.
+class PoolArms {
  public:
-  explicit ScopedLinalgPool(ThreadPool* pool) { set_linalg_pool(pool); }
-  ~ScopedLinalgPool() { set_linalg_pool(nullptr); }
-  ScopedLinalgPool(const ScopedLinalgPool&) = delete;
-  ScopedLinalgPool& operator=(const ScopedLinalgPool&) = delete;
+  PoolArms() {
+    std::vector<std::size_t> sizes = {1, 2, 4};
+    if (std::thread::hardware_concurrency() > 4)
+      sizes.push_back(std::thread::hardware_concurrency());
+    for (const std::size_t size : sizes)
+      pools_.push_back(std::make_unique<ThreadPool>(size));
+  }
+
+  [[nodiscard]] std::size_t size() const { return pools_.size(); }
+  [[nodiscard]] std::size_t pool_size(std::size_t arm) const {
+    return pools_[arm]->size();
+  }
+
+  /// fn(ctx) on an ExecutionContext over arm's pool, with the pool also
+  /// attached to the linalg hook for the call (and detached after it,
+  /// even when fn throws).
+  template <typename Fn>
+  auto run(std::size_t arm, Fn&& fn, PramLedger* ledger = nullptr) const {
+    struct LinalgHook {
+      explicit LinalgHook(ThreadPool* pool) { set_linalg_pool(pool); }
+      ~LinalgHook() { set_linalg_pool(nullptr); }
+    } const hook(pools_[arm].get());
+    return fn(ExecutionContext(pools_[arm].get(), ledger));
+  }
+
+ private:
+  std::vector<std::unique_ptr<ThreadPool>> pools_;
 };
-
-/// One pool size's measurements from run_thread_sweep.
-struct SweepPoint {
-  std::size_t pool_size = 0;
-  double wall_ms = 0.0;    ///< best (minimum) timed repeat
-  double speedup = 1.0;    ///< vs the pool-size-1 point
-  bool identical = true;   ///< sample matches the pool-size-1 reference
-  std::vector<int> items;  ///< the (repeat-invariant per seed) last sample
-  SampleDiagnostics diag;  ///< diagnostics of the last repeat
-  PramStats pram;          ///< ledger accumulated over all timed repeats
-};
-
-/// Rounds a speedup to the measurement's significant precision (tenths).
-/// Host jitter on runs of this length is a few percent even for the
-/// minimum over interleaved passes, so reporting hundredths would imply
-/// false precision — and the regression flag in the emitted JSON is
-/// computed from the reported value, so single-core hosts where every
-/// pool size executes the same serial instruction stream read as parity,
-/// not as noise-driven loss.
-inline double reported_speedup(double raw) {
-  return std::round(raw * 10.0) / 10.0;
-}
-
-/// Shared thread-sweep harness. For each pool size in thread_sweep() it
-/// attaches a pool to an ExecutionContext (with a persistent PramLedger)
-/// and to the linalg hook, and records the best wall clock over `repeats`
-/// timed runs, the diagnostics, PRAM stats, and whether the sample is
-/// identical to the pool-size-1 reference.
-///
-/// Measurement protocol: one untimed warmup pass (allocator, page cache,
-/// branch predictors), then `repeats` timed passes that *interleave* the
-/// pool sizes (1, 2, 4, ..., 1, 2, 4, ...), so slow host drift hits every
-/// point equally instead of biasing the later ones. Minimum-of-passes is
-/// the right wall-clock estimator here: the sample per seed is
-/// deterministic, so passes differ only by scheduler noise, which is
-/// strictly additive. The callback must reseed its own RandomStream per
-/// call so every run draws the same sample.
-template <typename SampleFn>
-std::vector<SweepPoint> run_thread_sweep(int repeats, SampleFn&& sample) {
-  const std::vector<std::size_t> sizes = thread_sweep();
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  std::vector<std::unique_ptr<PramLedger>> ledgers;
-  std::vector<SweepPoint> points(sizes.size());
-  for (std::size_t p = 0; p < sizes.size(); ++p) {
-    pools.push_back(std::make_unique<ThreadPool>(sizes[p]));
-    ledgers.push_back(std::make_unique<PramLedger>());
-    points[p].pool_size = sizes[p];
-  }
-  for (std::size_t p = 0; p < sizes.size(); ++p) {
-    const ScopedLinalgPool linalg_guard(pools[p].get());
-    PramLedger warmup_ledger;  // keep the reported PRAM stats timed-only
-    const ExecutionContext ctx(pools[p].get(), &warmup_ledger);
-    (void)sample(ctx);
-  }
-  for (int r = 0; r < repeats; ++r) {
-    for (std::size_t p = 0; p < sizes.size(); ++p) {
-      const ScopedLinalgPool linalg_guard(pools[p].get());
-      const ExecutionContext ctx(pools[p].get(), ledgers[p].get());
-      Timer timer;
-      SampleResult result = sample(ctx);
-      const double ms = timer.millis();
-      if (r == 0 || ms < points[p].wall_ms) points[p].wall_ms = ms;
-      points[p].items = std::move(result.items);
-      points[p].diag = result.diag;
-    }
-  }
-  for (std::size_t p = 0; p < sizes.size(); ++p) {
-    points[p].pram = ledgers[p]->stats();
-    if (p > 0) {
-      points[p].speedup = points[0].wall_ms / points[p].wall_ms;
-      points[p].identical = points[0].items == points[p].items;
-    }
-  }
-  return points;
-}
 
 /// Accumulates flat records and writes them as a JSON array — the
-/// machine-readable counterpart of one printed table (BENCH_*.json), so
-/// the speedup trajectory can be tracked across PRs.
+/// machine-readable counterpart of one printed table (BENCH_*.json).
+/// Every record declares the role of each of its fields in a "roles"
+/// object, which scripts/compare_bench.py reads:
+///   - identity: what was measured; matches records across runs;
+///   - measurement: this run's values; its `*_ms` fields are the timings
+///     compared across runs;
+///   - gate: a verdict (`regression`) and the statistic behind it;
+///   - provenance: how and where the record was measured (the host
+///     fields below are added to every record).
 class JsonSeries {
  public:
   using Field = std::pair<std::string, std::string>;
@@ -213,22 +279,37 @@ class JsonSeries {
     return {std::move(key), std::move(quoted)};
   }
 
-  /// Every record is stamped with the host provenance fields, so cross-PR
-  /// comparisons (scripts/compare_bench.py) can tell a code regression
-  /// from a host change: wall-clock deltas measured on different hardware
-  /// are advisory, not gating.
-  void add_record(const std::vector<Field>& fields) {
-    std::string record = "  {";
-    bool first = true;
-    const auto emit = [&](const Field& field) {
-      if (!first) record += ", ";
-      first = false;
-      record += "\"" + field.first + "\": " + field.second;
-    };
-    for (const Field& field : fields) emit(field);
-    for (const Field& field : host_fields()) emit(field);
-    record += "}";
-    records_.push_back(std::move(record));
+  /// One record's fields, grouped by role.
+  struct Record {
+    std::vector<Field> identity;
+    std::vector<Field> measurement;
+    std::vector<Field> gate;
+    std::vector<Field> provenance;
+  };
+
+  /// Host provenance is stamped on every record, so cross-PR comparisons
+  /// can tell a code regression from a host change: wall-clock deltas
+  /// measured on different hardware are advisory, not gating.
+  void add_record(Record record) {
+    for (const Field& field : host_fields())
+      record.provenance.push_back(field);
+    const std::pair<const char*, const std::vector<Field>*> roles[] = {
+        {"identity", &record.identity},
+        {"measurement", &record.measurement},
+        {"gate", &record.gate},
+        {"provenance", &record.provenance}};
+    std::string fields;
+    std::string declared;
+    for (const auto& [role, list] : roles) {
+      std::string names;
+      for (const Field& field : *list) {
+        fields += "\"" + field.first + "\": " + field.second + ", ";
+        names += (names.empty() ? "\"" : ", \"") + field.first + "\"";
+      }
+      declared += (declared.empty() ? "\"" : ", \"") + std::string(role) +
+                  "\": [" + names + "]";
+    }
+    records_.push_back("  {" + fields + "\"roles\": {" + declared + "}}");
   }
 
   /// Writes `path` ("BENCH_<name>.json") and reports where.
@@ -289,5 +370,88 @@ class JsonSeries {
 
   std::vector<std::string> records_;
 };
+
+/// An arm's measurement fields: best and median wall clock in ms, and the
+/// IQR as a fraction of the median.
+inline std::vector<JsonSeries::Field> arm_fields(const std::string& prefix,
+                                                 const ArmTimes& arm) {
+  return {JsonSeries::number(prefix + "_ms", arm.best()),
+          JsonSeries::number(prefix + "_median_ms", arm.median()),
+          JsonSeries::number(prefix + "_iqr_frac", arm.iqr() / arm.median(),
+                             3)};
+}
+
+/// A gate's fields: the lower quartile and median of its per-trial
+/// speedups, and its bound.
+inline std::vector<JsonSeries::Field> gate_fields(const std::string& prefix,
+                                                  const RatioGate& gate) {
+  return {JsonSeries::number(prefix + "_q1", gate.q1, 3),
+          JsonSeries::number(prefix + "_median", gate.median, 3),
+          JsonSeries::number(prefix + "_bound", gate.bound, 1)};
+}
+
+/// A run's provenance fields: the trial count and the host steal share.
+inline std::vector<JsonSeries::Field> trial_fields(const Trials& trials) {
+  return {JsonSeries::number("timed_trials", trials.arms[0].ms.size()),
+          JsonSeries::number("host_steal_frac", trials.steal_frac, 4)};
+}
+
+/// The pool-size sweep of one deterministic sample (EXP-T10d, EXP-T41d):
+/// run_trials over PoolArms, each call on a fresh PramLedger so its result
+/// carries its own PRAM stats. Each pool's speedup over pool 1 is gated at
+/// 1.0, and its sample must equal pool 1's. Prints the table, writes
+/// `file` under bench-out/.
+template <typename SampleFn>
+void report_thread_sweep(const std::string& experiment,
+                         const std::string& file,
+                         const std::vector<JsonSeries::Field>& identity,
+                         int trials, SampleFn&& sample) {
+  const PoolArms pools;
+  std::vector<SampleResult> last(pools.size());
+  const Trials timed = run_trials(pools.size(), trials, [&](std::size_t p) {
+    PramLedger ledger;
+    last[p] = pools.run(p, sample, &ledger);
+  });
+  Table table({"pool", "best_ms", "median_ms", "iqr", "speedup_q1",
+               "speedup_med", "rounds", "pram_depth", "q_per_wave", "|S|",
+               "identical", "gate"});
+  JsonSeries json;
+  bool any_regression = false;
+  for (std::size_t p = 0; p < pools.size(); ++p) {
+    const ArmTimes& arm = timed.arms[p];
+    const RatioGate gate = timed.gate(0, p, 1.0);
+    const SampleResult& result = last[p];
+    const bool identical = result.items == last[0].items;
+    const bool regression = !gate.pass() || !identical;
+    any_regression = any_regression || regression;
+    table.add_row({fmt_int(pools.pool_size(p)), fmt(arm.best(), 1),
+                   fmt(arm.median(), 1),
+                   fmt(100.0 * arm.iqr() / arm.median(), 0) + "%",
+                   fmt(gate.q1, 2), fmt(gate.median, 2),
+                   fmt_int(result.diag.pram.rounds),
+                   fmt(result.diag.pram.depth, 1),
+                   fmt(result.diag.queries_per_wave(), 2),
+                   fmt_int(result.items.size()), identical ? "yes" : "NO",
+                   regression ? "REGRESSION" : "ok"});
+    JsonSeries::Record record{{JsonSeries::text("experiment", experiment)},
+                              arm_fields("wall", arm),
+                              gate_fields("speedup", gate),
+                              trial_fields(timed)};
+    record.identity.insert(record.identity.end(), identity.begin(),
+                           identity.end());
+    record.identity.push_back(
+        JsonSeries::number("pool", pools.pool_size(p)));
+    record.gate.push_back(
+        JsonSeries::text("identical", identical ? "yes" : "no"));
+    record.gate.push_back(JsonSeries::boolean("regression", regression));
+    json.add_record(std::move(record));
+  }
+  table.print();
+  timed.print_note();
+  if (any_regression)
+    std::printf("! REGRESSION: a pool size's speedup q1 is below 1.0, or "
+                "its sample diverged from pool 1's\n");
+  json.write(bench_out_path(file));
+}
 
 }  // namespace pardpp::bench

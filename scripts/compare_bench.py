@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Perf-trajectory comparator for BENCH_*.json series.
 
-Every bench emits a JSON array of flat records into bench-out/. Records
-are matched between a baseline and a current run by their *identity*
-fields (experiment, family, n, d, k, pool, ...) — everything that is not
-a measurement — and the wall-time measurement fields of matching records
-are compared as ratios:
+Every bench emits a JSON array of flat records into bench-out/, and every
+record declares each field's role (bench/bench_util.h JsonSeries):
+identity, measurement, gate or provenance. A record with a field of no
+declared role is rejected. Records of a baseline and a current run are
+matched by their identity fields, and their timings — the measurement
+fields named `*_ms` — are compared as ratios:
 
     ratio = current / baseline
     ratio > 1 + warn_threshold  -> warning  (::warning in GitHub Actions)
@@ -26,8 +27,8 @@ sides; speedups measured on different core counts are never comparable,
 so a mismatch downgrades the drop to advisory.
 
 Snapshot mode (`--write-snapshot FILE DIR`) curates the trajectory file
-tracked in-repo: identity fields plus wall-time measurements, sorted by
-key, so the diff of a PR shows exactly which timings moved.
+tracked in-repo: every field but the non-timing measurements, sorted by
+key, so the diff of a PR shows which timings and gate statistics moved.
 """
 
 import argparse
@@ -35,70 +36,52 @@ import json
 import os
 import sys
 
-# Measurement fields: compared as timings (lower is better) when present.
-TIME_FIELDS = (
-    "wall_ms",
-    "scalar_ms",
-    "draw_ms",
-    "prime_ms",
-    "full_draw_ms",
-    "full_prime_ms",
-    "condition_baseline_ms",
-    "persession_wall_ms",
-)
+ROLES = ("identity", "measurement", "gate", "provenance")
 
-# Host provenance fields stamped into every record by bench_util.h.
-# Never identity (a runner change must not orphan every record), but
-# consulted when gating: a mismatch between baseline and current host
-# downgrades fail-level slowdowns to warnings, because wall-clock deltas
-# measured on different hardware are advisory, not evidence of a code
-# regression. `simd` (the dispatch arm the run selected) is provenance
-# for the same reason: a scalar-forced run is not comparable to an AVX2
-# run, so a cross-arm pair is treated exactly like a host change.
+# Host provenance fields stamped into every record by bench_util.h. A
+# mismatch between baseline and current host downgrades fail-level
+# slowdowns to warnings, because wall-clock deltas measured on different
+# hardware are advisory, not evidence of a code regression. `simd` (the
+# dispatch arm the run selected) counts for the same reason: a
+# scalar-forced run is not comparable to an AVX2 run.
 HOST_FIELDS = ("host_cpus", "host_nproc", "host_cpu_model", "simd")
 
-# Fields that are measurements or run-dependent flags, never identity.
-NON_IDENTITY_FIELDS = set(TIME_FIELDS) | set(HOST_FIELDS) | {
-    "spectral_refreshes",
-    "samples_per_sec",
-    "speedup",
-    "speedup_vs_condition",
-    "draw_speedup_vs_full",
-    "draws_per_sec",
-    "law_ok",
-    "accept_rate",
-    "chi_square",
-    "dof",
-    "identical",
-    "regression",
-    "full_estimated",
-    "depth",
-    "work",
-    "machines",
-    "rounds",
-    "oracle_calls",
-    "pram_depth",
-    "queries_per_wave",
-    "q_per_wave",
-    # Session guard-failure counter (convention 12): informational health
-    # telemetry, zero unless a PARDPP_FAILPOINTS schedule was armed for
-    # the run — never part of a record's identity.
-    "guard_failures",
-    # Serving-layer telemetry (convention 13, EXP-SRV): batch shapes and
-    # registry counters are measurements of one run's scheduling, never
-    # identity — two runs of the same config may batch differently.
-    "speedup_vs_persession",
-    "persession_draws_per_sec",
-    "batches",
-    "coalesced_per_batch",
-    "max_coalesced",
-    "queue_peak",
-    "sessions",
-}
+
+class RecordError(ValueError):
+    """A record whose fields do not each declare exactly one role."""
+
+
+def field_roles(record):
+    """-> {field: role}, from the record's "roles" object.
+
+    Raises RecordError unless every field of the record has exactly one
+    of the ROLES.
+    """
+    roles = record.get("roles")
+    if not isinstance(roles, dict) or not set(roles) <= set(ROLES):
+        raise RecordError(f"record declares no valid field roles: {roles!r}")
+    declared = {field: role for role, fields in roles.items()
+                for field in fields}
+    undeclared = sorted(set(record) - {"roles"} - set(declared))
+    if undeclared or len(declared) < sum(map(len, roles.values())):
+        raise RecordError(f"fields without exactly one role: {undeclared}")
+    return declared
+
+
+def timing_fields(record):
+    """The record's timings: its measurement fields in milliseconds."""
+    roles = field_roles(record)
+    return sorted(field for field in record
+                  if roles.get(field) == "measurement"
+                  and field.endswith("_ms"))
 
 
 def load_records(directory):
-    """-> {(file, identity-key): {field: value}} for all BENCH_*.json."""
+    """-> {(file, identity-key): record} for all BENCH_*.json.
+
+    Raises RecordError (naming the file) on a record that fails
+    field_roles.
+    """
     records = {}
     if not os.path.isdir(directory):
         return records
@@ -113,11 +96,14 @@ def load_records(directory):
             print(f"::warning::could not parse {path}: {error}")
             continue
         for record in series:
+            try:
+                roles = field_roles(record)
+            except RecordError as error:
+                raise RecordError(f"{path}: {error}") from None
             identity = tuple(
                 sorted(
-                    (field, value)
-                    for field, value in record.items()
-                    if field not in NON_IDENTITY_FIELDS
+                    (field, value) for field, value in record.items()
+                    if roles.get(field) == "identity"
                 )
             )
             records[(name, identity)] = record
@@ -227,6 +213,33 @@ def compare_scaling(baseline, current, warn, fail, advisory):
     return matched, warnings, failures
 
 
+# The thread-sweep benches (bench_theorem10, bench_theorem41) whose
+# scaling the multicore honesty gate requires.
+SWEEPS = ("theorem10_thread_sweep", "theorem41_thread_sweep")
+
+
+def sweep_verdicts(records, bound=1.0, sweeps=SWEEPS):
+    """-> {sweep: (pool, speedup_q1, passed) or None}.
+
+    For each named sweep, takes its widest pool above 1 that fits the
+    host's cores (`pool <= host_cpus`) and checks that the lower quartile
+    of that pool's per-trial speedup over pool 1 (`speedup_q1`) is at
+    least `bound`. A sweep with no such record maps to None.
+    """
+    verdicts = dict.fromkeys(sweeps)
+    for record in records.values():
+        sweep = record.get("experiment")
+        if sweep not in verdicts:
+            continue
+        pool = int(record["pool"])
+        if pool <= 1 or pool > int(record["host_cpus"]):
+            continue
+        if verdicts[sweep] is None or pool > verdicts[sweep][0]:
+            q1 = float(record["speedup_q1"])
+            verdicts[sweep] = (pool, q1, q1 >= bound)
+    return verdicts
+
+
 def describe(key):
     name, identity = key
     fields = ", ".join(f"{field}={value}" for field, value in identity)
@@ -234,8 +247,18 @@ def describe(key):
 
 
 def compare(baseline_dir, current_dir, warn, fail, advisory):
-    baseline = load_records(baseline_dir)
-    current = load_records(current_dir)
+    try:
+        current = load_records(current_dir)
+    except RecordError as error:
+        print(f"::error::{error}")
+        return 1
+    try:
+        baseline = load_records(baseline_dir)
+    except RecordError as error:
+        # A baseline recorded before records declared their field roles
+        # cannot be matched; say so rather than guess its identity.
+        print(f"::warning::baseline rejected, nothing to gate: {error}")
+        return 0
     if not baseline:
         print(f"no baseline records under {baseline_dir}; nothing to gate")
         return 0
@@ -252,8 +275,8 @@ def compare(baseline_dir, current_dir, warn, fail, advisory):
             continue
         base = baseline[key]
         mismatch = host_mismatch(base, record)
-        for field in TIME_FIELDS:
-            if field not in record or field not in base:
+        for field in timing_fields(record):
+            if field not in base:
                 continue
             base_value = float(base[field])
             cur_value = float(record[field])
@@ -302,17 +325,25 @@ def compare(baseline_dir, current_dir, warn, fail, advisory):
 
 
 def write_snapshot(path, directory):
-    records = load_records(directory)
+    try:
+        records = load_records(directory)
+    except RecordError as error:
+        print(f"::error::{error}")
+        return 1
     if not records:
         print(f"::error::no records under {directory} to snapshot")
         return 1
     snapshot = []
-    for (name, identity), record in sorted(records.items()):
+    for (name, _), record in sorted(records.items()):
+        roles = field_roles(record)
+        kept = [field for field in record if field != "roles" and (
+            roles[field] != "measurement" or field.endswith("_ms"))]
         entry = {"file": name}
-        entry.update({field: value for field, value in identity})
-        for field in HOST_FIELDS + TIME_FIELDS:
-            if field in record:
-                entry[field] = record[field]
+        entry.update({field: record[field] for field in kept})
+        entry["roles"] = {
+            role: sorted(f for f in kept if roles[f] == role)
+            for role in ROLES
+        }
         snapshot.append(entry)
     with open(path, "w") as handle:
         json.dump(snapshot, handle, indent=1, sort_keys=True)

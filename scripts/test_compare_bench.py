@@ -33,11 +33,26 @@ HOST_B = {
 HOST_A_SCALAR = dict(HOST_A, simd="scalar")
 
 
-def record(wall_ms, host=None, **identity):
+def record(wall_ms, host=None, measured=None, **identity):
+    """A role-declaring record: `identity` keys, `wall_ms` and `measured`
+    as measurements, `host` fields as provenance."""
     entry = {"experiment": "unit", "family": "f", "pool": 1}
     entry.update(identity)
+    roles = {"identity": sorted(entry)}
     entry["wall_ms"] = wall_ms
+    entry.update(measured or {})
+    roles["measurement"] = ["wall_ms"] + sorted(measured or {})
     entry.update(host or {})
+    roles["provenance"] = sorted(host or {})
+    entry["roles"] = roles
+    return entry
+
+
+def sweep_record(experiment, pool, speedup_q1, host_cpus=4):
+    entry = record(10.0, dict(HOST_A, host_cpus=host_cpus),
+                   experiment=experiment, pool=pool)
+    entry["speedup_q1"] = speedup_q1
+    entry["roles"]["gate"] = ["speedup_q1"]
     return entry
 
 
@@ -226,84 +241,85 @@ class CompareBenchTest(unittest.TestCase):
         same_host = self.write_dir("same-host", [record(200.0, HOST_A)])
         self.assertEqual(self.compare(exploded, same_host), 1)
 
-    def test_serving_records_pair_across_batch_shapes_and_gate(self):
-        # EXP-SRV records carry coalescing/registry telemetry (batches,
-        # coalesced_per_batch, queue_peak, ...) that depends on dispatch
-        # timing, so two runs of the same config rarely agree on it: the
-        # telemetry must not be identity. Both the coalesced wall clock
-        # (wall_ms) and the one-session-per-request baseline
-        # (persession_wall_ms) are timings that survive the snapshot and
-        # gate a same-host slowdown.
-        def serving(wall, persession, host, **stats):
-            entry = {
-                "experiment": "serving_coalescing",
-                "family": "symmetric",
-                "n": 128,
-                "k": 10,
-                "requests": 16,
-                "pool": 1,
-                "wall_ms": wall,
-                "persession_wall_ms": persession,
-            }
-            entry.update(stats)
-            entry.update(host)
-            return entry
+    def test_measurement_fields_never_become_identity(self):
+        # Fields declared `measurement` (here serving telemetry that
+        # depends on dispatch timing) differ between two runs of the same
+        # config; the records must still pair. Its timings (`*_ms`) survive
+        # the snapshot and gate a same-host slowdown; its other
+        # measurements are not kept there.
+        def serving(wall, persession, **stats):
+            return record(wall, HOST_A,
+                          dict(stats, persession_wall_ms=persession),
+                          experiment="serving_coalescing", requests=16)
 
         bench_dir = self.write_dir(
-            "out",
-            [serving(30.0, 200.0, HOST_A, batches=4, coalesced_per_batch=4.0,
-                     max_coalesced=7, queue_peak=12, sessions=1,
-                     speedup_vs_persession=6.6,
-                     persession_draws_per_sec=80.0)],
+            "out", [serving(30.0, 200.0, batches=4, queue_peak=12)]
         )
         snapshot = os.path.join(self.tmp, "BENCH_trajectory.json")
         self.assertEqual(compare_bench.write_snapshot(snapshot, bench_dir), 0)
         with open(snapshot) as handle:
             (entry,) = json.load(handle)
         self.assertEqual(entry["persession_wall_ms"], 200.0)
-        self.assertNotIn("batches", entry)  # telemetry, not identity
+        self.assertNotIn("batches", entry)
         exploded = compare_bench.snapshot_as_baseline(
             snapshot, os.path.join(self.tmp, "exploded")
         )
-        # Different batch shape, same identity: paired and clean.
         reshaped = self.write_dir(
-            "reshaped",
-            [serving(31.0, 201.0, HOST_A, batches=16, coalesced_per_batch=1.0,
-                     max_coalesced=1, queue_peak=1, sessions=1,
-                     speedup_vs_persession=6.5,
-                     persession_draws_per_sec=79.0)],
+            "reshaped", [serving(31.0, 201.0, batches=16, queue_peak=1)]
         )
+        (key,) = compare_bench.load_records(reshaped)
+        self.assertNotIn("batches", dict(key[1]))
         self.assertEqual(self.compare(exploded, reshaped), 0)
-        # A regression in either timing lane gates: here the coalesced
-        # path doubled while the baseline held still.
         slower = self.write_dir(
-            "slower",
-            [serving(60.0, 200.0, HOST_A, batches=4)],
+            "slower", [serving(30.0, 400.0, batches=4, queue_peak=12)]
         )
         self.assertEqual(self.compare(exploded, slower), 1)
 
-    def test_guard_counters_are_informational_not_identity(self):
-        # The session's guard_failures counter differs between a clean
-        # baseline and a fault-injection run. The records must still pair
-        # up — a faulted run is the same experiment, not an orphan — and
-        # the counter deltas themselves must not gate.
-        baseline = self.write_dir(
-            "baseline", [record(100.0, HOST_A, guard_failures=0)]
-        )
-        current = self.write_dir(
-            "current", [record(101.0, HOST_A, guard_failures=2)]
-        )
-        self.assertIn("guard_failures", compare_bench.NON_IDENTITY_FIELDS)
-        # Paired and within threshold: clean pass. Were the counters
-        # identity, the baseline record would be orphaned and the new
-        # record informational — masking a real timing regression below.
-        self.assertEqual(self.compare(baseline, current), 0)
-        regressed = self.write_dir(
-            "regressed",
-            [record(200.0, HOST_A, guard_failures=2)],
-        )
-        self.assertEqual(self.compare(baseline, regressed), 1)
+    def test_field_without_a_role_is_rejected(self):
+        stray = record(100.0, HOST_A)
+        stray["speedup"] = 1.0  # present, but in no role list
+        current = self.write_dir("current", [stray])
+        with self.assertRaisesRegex(compare_bench.RecordError, "speedup"):
+            compare_bench.load_records(current)
+        baseline = self.write_dir("baseline", [record(100.0, HOST_A)])
+        self.assertEqual(self.compare(baseline, current), 1)
+        out = os.path.join(self.tmp, "BENCH_trajectory.json")
+        self.assertEqual(compare_bench.write_snapshot(out, current), 1)
 
+    def test_record_without_roles_is_rejected(self):
+        bare = record(100.0, HOST_A)
+        del bare["roles"]
+        current = self.write_dir("current", [bare])
+        self.assertEqual(
+            self.compare(self.write_dir("base", [record(100.0)]), current), 1
+        )
+        # As a baseline it cannot be matched: warned, nothing gated.
+        self.assertEqual(
+            self.compare(current, self.write_dir("cur", [record(900.0)])), 0
+        )
+
+    def test_sweep_verdicts_gate_the_widest_fitting_pool_at_q1(self):
+        verdicts = compare_bench.sweep_verdicts({
+            index: entry for index, entry in enumerate([
+                sweep_record("theorem10_thread_sweep", 1, 1.0),
+                sweep_record("theorem10_thread_sweep", 2, 0.5),
+                # Exactly at the bound passes.
+                sweep_record("theorem10_thread_sweep", 4, 1.0),
+                # Wider than the host's cores: not the gated pool.
+                sweep_record("theorem10_thread_sweep", 8, 0.2),
+                sweep_record("theorem41_thread_sweep", 2, 1.5),
+                sweep_record("theorem41_thread_sweep", 4, 0.999),
+            ])
+        })
+        self.assertEqual(verdicts["theorem10_thread_sweep"], (4, 1.0, True))
+        self.assertEqual(
+            verdicts["theorem41_thread_sweep"], (4, 0.999, False)
+        )
+        only_pool1 = compare_bench.sweep_verdicts(
+            {0: sweep_record("theorem10_thread_sweep", 1, 1.0)}
+        )
+        self.assertIsNone(only_pool1["theorem10_thread_sweep"])
+        self.assertIsNone(only_pool1["theorem41_thread_sweep"])
 
 if __name__ == "__main__":
     unittest.main()

@@ -35,9 +35,6 @@ class HardInstanceOracle final : public CountingOracle {
   [[nodiscard]] std::unique_ptr<CountingOracle> clone() const override;
   [[nodiscard]] std::string name() const override { return "hard-instance"; }
 
-  /// Number of untouched (free) pairs.
-  [[nodiscard]] std::size_t free_pairs() const { return free_pairs_; }
-
   /// Number of forced singles (partner already conditioned in).
   [[nodiscard]] std::size_t forced() const { return forced_; }
 

@@ -28,7 +28,7 @@ class SubdividedOracle final : public CountingOracle {
   /// Wraps `base` with subdivision parameter `beta` in (0, 1]; smaller
   /// beta means more copies and flatter marginals (the theory takes
   /// sqrt(beta) = eps/(32 k); practice is fine with beta near 1 — see
-  /// EXPERIMENTS.md).
+  /// `bench_subdivision` in DESIGN.md §3, the experiment index).
   SubdividedOracle(std::unique_ptr<CountingOracle> base, double beta);
 
   [[nodiscard]] std::size_t ground_size() const override {
@@ -52,9 +52,6 @@ class SubdividedOracle final : public CountingOracle {
   [[nodiscard]] int origin_of(int c) const {
     return origin_[static_cast<std::size_t>(c)];
   }
-
-  /// Copies per current base element.
-  [[nodiscard]] std::span<const int> copy_counts() const { return copies_; }
 
   [[nodiscard]] const CountingOracle& base() const { return *base_; }
 

@@ -46,10 +46,4 @@ double UnconstrainedDpp::log_mass(std::span<const int> s) const {
   return sld.log_abs - log_partition();
 }
 
-UnconstrainedDpp UnconstrainedDpp::condition_include(
-    std::span<const int> t) const {
-  const auto result = condition_ensemble(l_, t, symmetric_);
-  return UnconstrainedDpp(result.reduced, symmetric_, /*validate=*/false);
-}
-
 }  // namespace pardpp

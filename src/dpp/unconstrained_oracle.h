@@ -36,9 +36,6 @@ class UnconstrainedDpp {
   /// by enumeration ground truth.
   [[nodiscard]] double log_mass(std::span<const int> s) const;
 
-  /// The conditional DPP given T ⊆ Y, over the remaining ground set.
-  [[nodiscard]] UnconstrainedDpp condition_include(std::span<const int> t) const;
-
   /// log det(I + L) (cached).
   [[nodiscard]] double log_partition() const;
 

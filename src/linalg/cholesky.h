@@ -223,85 +223,6 @@ class IncrementalCholesky {
   double log_det_ = 0.0;
 };
 
-/// Rank-1 update of a Cholesky factor: given lower-triangular L with
-/// A = L L^T, rewrites L in place so that L L^T = A + v v^T (the stable
-/// hyperbolic-rotation-free scheme of Gill–Golub–Murray–Saunders).
-/// `v` is consumed as scratch.
-inline void cholesky_update(Matrix& lower, std::span<double> v) {
-  check_arg(lower.square() && v.size() == lower.rows(),
-            "cholesky_update: size mismatch");
-  const std::size_t n = lower.rows();
-  for (std::size_t j = 0; j < n; ++j) {
-    const double ljj = lower(j, j);
-    const double r = std::hypot(ljj, v[j]);
-    const double c = r / ljj;
-    const double s = v[j] / ljj;
-    lower(j, j) = r;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      lower(i, j) = (lower(i, j) + s * v[i]) / c;
-      v[i] = c * v[i] - s * lower(i, j);
-    }
-  }
-}
-
-/// Rank-1 *downdate* of a Cholesky factor: given lower-triangular L with
-/// A = L L^T, rewrites L in place so that L L^T = A - v v^T (the
-/// LINPACK-style rotation sweep, transposed for lower factors). `v` is
-/// consumed as scratch.
-///
-/// Guarded against indefinite drift: the downdated matrix is positive
-/// definite iff ||L^{-1} v||^2 < 1, and that test runs *before* any
-/// mutation — on failure (including the near-singular band
-/// 1 - ||p||^2 <= tol, which covers exact zero pivots) the function
-/// returns false with the factor untouched. A downdate that passes the
-/// test but loses a pivot to roundoff during the sweep (only possible
-/// within roundoff of the tolerance boundary) also returns false, with
-/// the factor invalid; callers treat any false as "refactorize from
-/// scratch".
-[[nodiscard]] inline bool cholesky_downdate(Matrix& lower, std::span<double> v,
-                                            double tol = 1e-12) {
-  check_arg(lower.square() && v.size() == lower.rows(),
-            "cholesky_downdate: size mismatch");
-  const std::size_t n = lower.rows();
-  // p = L^{-1} v (forward substitution), in place.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = v[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= lower(i, k) * v[k];
-    v[i] = acc / lower(i, i);
-  }
-  double norm_sq = 0.0;
-  for (std::size_t i = 0; i < n; ++i) norm_sq += v[i] * v[i];
-  const double alpha_sq = 1.0 - norm_sq;
-  // det(A - vv^T) = det(A) * alpha_sq: reject the indefinite and the
-  // numerically singular cases before touching the factor.
-  if (!(alpha_sq > tol)) return false;
-  // Rotation angles zeroing p from the bottom, growing alpha back to 1.
-  std::vector<double> c(n);
-  std::vector<double> s(n);
-  double alpha = std::sqrt(alpha_sq);
-  for (std::size_t ii = n; ii-- > 0;) {
-    const double scale = alpha + std::abs(v[ii]);
-    const double a = alpha / scale;
-    const double b = v[ii] / scale;
-    const double norm = std::hypot(a, b);
-    c[ii] = a / norm;
-    s[ii] = b / norm;
-    alpha = scale * norm;
-  }
-  // Apply the sweep to each row of L (transposed dchdd column update).
-  bool ok = true;
-  for (std::size_t j = 0; j < n; ++j) {
-    double xx = 0.0;
-    for (std::size_t i = j + 1; i-- > 0;) {
-      const double t = c[i] * xx + s[i] * lower(j, i);
-      lower(j, i) = c[i] * lower(j, i) - s[i] * xx;
-      xx = t;
-    }
-    if (!(lower(j, j) > 0.0)) ok = false;
-  }
-  return ok;
-}
-
 /// Attempts a Cholesky factorization; returns nullopt when the matrix is
 /// not positive definite beyond `tol` (relative to the largest diagonal).
 [[nodiscard]] inline std::optional<CholeskyDecomposition> cholesky(

@@ -249,13 +249,6 @@ class BasicMatrix {
     return best;
   }
 
-  /// Frobenius norm.
-  [[nodiscard]] double frobenius() const {
-    double acc = 0.0;
-    for (const auto& v : data_) acc += std::norm(std::complex<double>(v));
-    return std::sqrt(acc);
-  }
-
   /// True when |A - A^T|_max <= tol (only meaningful for square A).
   [[nodiscard]] bool is_symmetric(double tol = 1e-10) const {
     if (!square()) return false;

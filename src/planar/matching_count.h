@@ -21,7 +21,6 @@ class MatchingCounter {
   explicit MatchingCounter(const PlanarGraph& g);
 
   [[nodiscard]] const PlanarGraph& graph() const { return *graph_; }
-  [[nodiscard]] const Matrix& kasteleyn() const { return orientation_.matrix; }
 
   /// log #PM(G); -inf when G has no perfect matching.
   [[nodiscard]] double log_count() const;

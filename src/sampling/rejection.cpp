@@ -1,7 +1,6 @@
 #include "sampling/rejection.h"
 
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "support/error.h"
@@ -9,42 +8,29 @@
 
 namespace pardpp {
 
-namespace {
-
-// Normalized per-domain quantities shared by every trial: the setup the
-// FiniteRejection state computes once per run and the one-shot entry
-// point once per call — one implementation, so the determinism-critical
-// arithmetic cannot drift between the two paths.
-struct RejectionSetup {
-  std::vector<double> proposal_probs;
-  double log_zt = 0.0;
-  double log_zp = 0.0;
-};
-
-RejectionSetup make_setup(std::span<const double> log_target,
-                          std::span<const double> log_proposal) {
-  check_arg(log_target.size() == log_proposal.size(),
-            "rejection_sample_finite: domain size mismatch");
-  RejectionSetup setup;
-  setup.log_zt = logsumexp(log_target);
-  setup.log_zp = logsumexp(log_proposal);
-  check_arg(setup.log_zt != kNegInf && setup.log_zp != kNegInf,
-            "rejection_sample_finite: degenerate masses");
-  setup.proposal_probs.resize(log_proposal.size());
-  for (std::size_t i = 0; i < setup.proposal_probs.size(); ++i)
-    setup.proposal_probs[i] = std::exp(log_proposal[i] - setup.log_zp);
-  return setup;
+RejectionOutcome rejection_sample_finite(std::span<const double> log_target,
+                                         std::span<const double> log_proposal,
+                                         double log_cap, std::size_t machines,
+                                         RandomStream& rng) {
+  return rejection_sample_finite(log_target, log_proposal, log_cap, machines,
+                                 rng, ExecutionContext::serial());
 }
 
-// The wave-driven trial loop shared by the one-shot entry points and the
-// reusable FiniteRejection state: all normalizations arrive precomputed,
-// so both paths consume the stream identically.
-RejectionOutcome run_rejection(std::span<const double> log_target,
-                               std::span<const double> log_proposal,
-                               std::span<const double> proposal_probs,
-                               double log_zt, double log_zp, double log_cap,
-                               std::size_t machines, RandomStream& rng,
-                               const ExecutionContext& ctx) {
+RejectionOutcome rejection_sample_finite(std::span<const double> log_target,
+                                         std::span<const double> log_proposal,
+                                         double log_cap, std::size_t machines,
+                                         RandomStream& rng,
+                                         const ExecutionContext& ctx) {
+  check_arg(log_target.size() == log_proposal.size(),
+            "rejection_sample_finite: domain size mismatch");
+  const double log_zt = logsumexp(log_target);
+  const double log_zp = logsumexp(log_proposal);
+  check_arg(log_zt != kNegInf && log_zp != kNegInf,
+            "rejection_sample_finite: degenerate masses");
+  std::vector<double> proposal_probs(log_proposal.size());
+  for (std::size_t i = 0; i < proposal_probs.size(); ++i)
+    proposal_probs[i] = std::exp(log_proposal[i] - log_zp);
+
   struct Trial {
     std::size_t value = 0;
     bool overflow = false;
@@ -81,46 +67,6 @@ RejectionOutcome run_rejection(std::span<const double> log_target,
       // these individually would cost more than evaluating them.
       /*evaluate_grain=*/256);
   return out;
-}
-
-}  // namespace
-
-FiniteRejection::FiniteRejection(std::vector<double> log_target,
-                                 std::vector<double> log_proposal,
-                                 double log_cap)
-    : log_target_(std::move(log_target)),
-      log_proposal_(std::move(log_proposal)),
-      log_cap_(log_cap) {
-  RejectionSetup setup = make_setup(log_target_, log_proposal_);
-  proposal_probs_ = std::move(setup.proposal_probs);
-  log_zt_ = setup.log_zt;
-  log_zp_ = setup.log_zp;
-}
-
-RejectionOutcome FiniteRejection::draw(std::size_t machines,
-                                       RandomStream& rng,
-                                       const ExecutionContext& ctx) const {
-  return run_rejection(log_target_, log_proposal_, proposal_probs_, log_zt_,
-                       log_zp_, log_cap_, machines, rng, ctx);
-}
-
-RejectionOutcome rejection_sample_finite(std::span<const double> log_target,
-                                         std::span<const double> log_proposal,
-                                         double log_cap, std::size_t machines,
-                                         RandomStream& rng) {
-  return rejection_sample_finite(log_target, log_proposal, log_cap, machines,
-                                 rng, ExecutionContext::serial());
-}
-
-RejectionOutcome rejection_sample_finite(std::span<const double> log_target,
-                                         std::span<const double> log_proposal,
-                                         double log_cap, std::size_t machines,
-                                         RandomStream& rng,
-                                         const ExecutionContext& ctx) {
-  const RejectionSetup setup = make_setup(log_target, log_proposal);
-  return run_rejection(log_target, log_proposal, setup.proposal_probs,
-                       setup.log_zt, setup.log_zp, log_cap, machines, rng,
-                       ctx);
 }
 
 }  // namespace pardpp

@@ -47,33 +47,4 @@ struct RejectionOutcome {
     double log_cap, std::size_t machines, RandomStream& rng,
     const ExecutionContext& ctx);
 
-/// The rejection primitive's long-lived run state (DESIGN.md §2
-/// convention 7): the normalizations (logsumexp over both mass vectors)
-/// and the linear-domain proposal table are computed once at construction
-/// and shared by every draw, amortizing the per-call setup the one-shot
-/// entry points above pay each time. Draws consume the stream exactly
-/// like `rejection_sample_finite`, so a fixed seed yields the identical
-/// outcome through either path, at every pool size.
-class FiniteRejection {
- public:
-  FiniteRejection(std::vector<double> log_target,
-                  std::vector<double> log_proposal, double log_cap);
-
-  [[nodiscard]] RejectionOutcome draw(std::size_t machines, RandomStream& rng,
-                                      const ExecutionContext& ctx =
-                                          ExecutionContext::serial()) const;
-
-  [[nodiscard]] std::size_t domain_size() const noexcept {
-    return log_target_.size();
-  }
-
- private:
-  std::vector<double> log_target_;
-  std::vector<double> log_proposal_;
-  std::vector<double> proposal_probs_;
-  double log_zt_ = 0.0;
-  double log_zp_ = 0.0;
-  double log_cap_ = 0.0;
-};
-
 }  // namespace pardpp

@@ -510,128 +510,6 @@ TEST(IncrementalCholesky, RejectsNonPositiveDefiniteExtension) {
   EXPECT_NEAR(inc.log_det(), direct->log_det(), 1e-12);
 }
 
-TEST(CholeskyUpdate, RankOneUpdateMatchesRefactorization) {
-  RandomStream rng(44);
-  const Matrix a = random_psd(6, 6, rng, 1e-2);
-  RandomStream vec_rng(45);
-  std::vector<double> v(6);
-  for (double& x : v) x = vec_rng.uniform(-1.0, 1.0);
-  Matrix updated = a;
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j < 6; ++j) updated(i, j) += v[i] * v[j];
-  auto factor = cholesky(a);
-  ASSERT_TRUE(factor.has_value());
-  Matrix lower = factor->lower();
-  cholesky_update(lower, v);
-  const auto direct = cholesky(updated);
-  ASSERT_TRUE(direct.has_value());
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j <= i; ++j)
-      EXPECT_NEAR(lower(i, j), direct->lower()(i, j), 1e-10);
-}
-
-TEST(CholeskyDowndate, RankOneDowndateMatchesRefactorization) {
-  RandomStream rng(48);
-  const Matrix base = random_psd(6, 6, rng, 1e-2);
-  RandomStream vec_rng(49);
-  std::vector<double> v(6);
-  for (double& x : v) x = vec_rng.uniform(-0.3, 0.3);
-  // A = base + vv^T is safely PD and A - vv^T = base stays PD, so the
-  // downdate must land on base's factor.
-  Matrix a = base;
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j < 6; ++j) a(i, j) += v[i] * v[j];
-  auto factor = cholesky(a);
-  ASSERT_TRUE(factor.has_value());
-  Matrix lower = factor->lower();
-  std::vector<double> w = v;  // consumed in place
-  ASSERT_TRUE(cholesky_downdate(lower, w));
-  const auto direct = cholesky(base);
-  ASSERT_TRUE(direct.has_value());
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j <= i; ++j)
-      EXPECT_NEAR(lower(i, j), direct->lower()(i, j), 1e-10);
-}
-
-TEST(CholeskyDowndate, RejectsDowndateToIndefiniteAndLeavesFactorIntact) {
-  RandomStream rng(50);
-  const Matrix a = random_psd(5, 5, rng, 1e-2);
-  auto factor = cholesky(a);
-  ASSERT_TRUE(factor.has_value());
-  const Matrix original = factor->lower();
-  Matrix lower = original;
-  // Removing 2x the leading basis direction drives A - vv^T indefinite:
-  // the pre-mutation guard must reject before touching the factor.
-  std::vector<double> v(5, 0.0);
-  v[0] = 2.0 * std::sqrt(a(0, 0));
-  EXPECT_FALSE(cholesky_downdate(lower, v));
-  for (std::size_t i = 0; i < 5; ++i)
-    for (std::size_t j = 0; j <= i; ++j)
-      EXPECT_DOUBLE_EQ(lower(i, j), original(i, j));
-}
-
-TEST(CholeskyDowndate, RejectsZeroPivotDowndate) {
-  // Downdating I by a unit basis vector zeroes the leading pivot
-  // exactly: 1 - ||L^{-1}v||^2 = 0 fails the strict tolerance gate and
-  // the factor must be left untouched (the guard runs pre-mutation).
-  Matrix lower = Matrix::identity(3);
-  std::vector<double> v = {1.0, 0.0, 0.0};
-  EXPECT_FALSE(cholesky_downdate(lower, v));
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j <= i; ++j)
-      EXPECT_DOUBLE_EQ(lower(i, j), i == j ? 1.0 : 0.0);
-}
-
-TEST(CholeskyDowndate, NearSingularDowndateStaysAccurate) {
-  // Downdate that leaves a tiny but genuinely positive pivot: the sweep
-  // must neither reject it nor lose the small remaining mass.
-  const double eps = 1e-8;
-  Matrix lower = Matrix::identity(2);
-  std::vector<double> v = {std::sqrt(1.0 - eps), 0.0};
-  ASSERT_TRUE(cholesky_downdate(lower, v));
-  // I - vv^T = diag(eps, 1): the reconstructed product must hit it.
-  for (std::size_t i = 0; i < 2; ++i)
-    for (std::size_t j = 0; j < 2; ++j) {
-      double acc = 0.0;
-      for (std::size_t c = 0; c < 2; ++c) acc += lower(i, c) * lower(j, c);
-      const double want = i != j ? 0.0 : (i == 0 ? eps : 1.0);
-      EXPECT_NEAR(acc, want, 1e-15 + 1e-10 * want);
-    }
-}
-
-TEST(CholeskyDowndate, UpdateDowndateRoundTripDriftFuzz) {
-  // Accumulated-drift fuzz: long alternating sequences of rank-1 updates
-  // followed by their exact downdates must return to the from-scratch
-  // factor of the original matrix to 1e-10 — the bound the commit path's
-  // forced-refactorization convention (DESIGN.md §2) budgets for.
-  RandomStream rng(51);
-  for (int trial = 0; trial < 4; ++trial) {
-    const std::size_t n = 4 + static_cast<std::size_t>(rng.uniform_index(5));
-    const Matrix a = random_psd(n, n, rng, 1e-2);
-    auto factor = cholesky(a);
-    ASSERT_TRUE(factor.has_value());
-    Matrix lower = factor->lower();
-    std::vector<std::vector<double>> vs;
-    for (int round = 0; round < 12; ++round) {
-      std::vector<double> v(n);
-      for (double& x : v) x = rng.uniform(-0.5, 0.5);
-      vs.push_back(v);
-      cholesky_update(lower, v);
-    }
-    // Downdate in reverse order of the updates.
-    for (std::size_t r = vs.size(); r-- > 0;) {
-      std::vector<double> w = vs[r];
-      ASSERT_TRUE(cholesky_downdate(lower, w));
-    }
-    const auto direct = cholesky(a);
-    ASSERT_TRUE(direct.has_value());
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j <= i; ++j)
-        EXPECT_NEAR(lower(i, j), direct->lower()(i, j), 1e-10)
-            << "trial " << trial << " (" << i << "," << j << ")";
-  }
-}
-
 TEST(SchurComplement, IncrementalMatchesFromScratch) {
   RandomStream rng(46);
   const Matrix m = random_psd(9, 9, rng, 1e-2);

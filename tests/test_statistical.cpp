@@ -349,26 +349,5 @@ TEST(RejectionStatTest, MatchesTargetDistribution) {
   EXPECT_LT(statistic, chi_square_quantile(4.0, 4.0));
 }
 
-TEST(RejectionStatTest, FiniteRejectionSessionMatchesOneShotBitExactly) {
-  // The long-lived FiniteRejection state must consume the stream exactly
-  // like the one-shot entry point: same seed, same outcomes, draw by draw.
-  const std::vector<double> target = {std::log(0.35), std::log(0.05),
-                                      std::log(0.25), std::log(0.15),
-                                      std::log(0.20)};
-  const std::vector<double> proposal(5, std::log(0.2));
-  const double cap = std::log(0.35 / 0.2) + 1e-9;
-  const FiniteRejection session(target, proposal, cap);
-  RandomStream session_rng(92205);
-  RandomStream oneshot_rng(92205);
-  for (int i = 0; i < 500; ++i) {
-    const auto reused = session.draw(200, session_rng);
-    const auto oneshot =
-        rejection_sample_finite(target, proposal, cap, 200, oneshot_rng);
-    ASSERT_EQ(reused.value, oneshot.value) << "draw " << i;
-    ASSERT_EQ(reused.proposals_used, oneshot.proposals_used);
-    ASSERT_EQ(reused.overflows, oneshot.overflows);
-  }
-}
-
 }  // namespace
 }  // namespace pardpp
