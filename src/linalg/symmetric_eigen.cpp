@@ -272,11 +272,4 @@ std::vector<double> symmetric_eigenvalues(const Matrix& a) {
   return d;
 }
 
-double spectral_norm_symmetric(const Matrix& a) {
-  double best = 0.0;
-  for (const double v : symmetric_eigenvalues(a))
-    best = std::max(best, std::abs(v));
-  return best;
-}
-
 }  // namespace pardpp

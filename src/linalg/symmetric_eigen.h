@@ -38,10 +38,8 @@ struct SymmetricEigen {
 
 /// Eigenvalues only (ascending) — skips eigenvector accumulation, roughly
 /// 3x faster, and equal bit for bit to `symmetric_eigen(a).values`; the
-/// joint-marginal oracle queries and the filtering sampler use this path.
+/// joint-marginal oracle queries, the dense Lemma 44 sampler and
+/// `sample_dpp`'s strategy choice use this path.
 [[nodiscard]] std::vector<double> symmetric_eigenvalues(const Matrix& a);
-
-/// Largest |eigenvalue| of a symmetric matrix.
-[[nodiscard]] double spectral_norm_symmetric(const Matrix& a);
 
 }  // namespace pardpp

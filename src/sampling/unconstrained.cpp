@@ -1,9 +1,9 @@
 #include "sampling/unconstrained.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "dpp/cardinality.h"
-#include "dpp/ensemble.h"
 #include "dpp/general_oracle.h"
 #include "dpp/symmetric_oracle.h"
 #include "linalg/symmetric_eigen.h"
@@ -70,11 +70,15 @@ UnconstrainedSampleResult sample_dpp(const Matrix& l, bool symmetric,
     if (!symmetric) {
       strategy = Strategy::kCardinality;
     } else {
-      // Theorem 41's min(sqrt(tr K), sigma_max(K) sqrt(n)).
-      const Matrix kernel = marginal_kernel(l);
+      // Theorem 41's min(sqrt(tr K), sigma_max(K) sqrt(n)), from the
+      // spectrum of L: K = L (I + L)^{-1} has eigenvalues λ / (1 + λ).
       double trace = 0.0;
-      for (std::size_t i = 0; i < kernel.rows(); ++i) trace += kernel(i, i);
-      const double sigma = spectral_norm_symmetric(kernel);
+      double sigma = 0.0;
+      for (const double lambda : symmetric_eigenvalues(l)) {
+        const double kappa = lambda / (1.0 + lambda);
+        trace += kappa;
+        sigma = std::max(sigma, std::abs(kappa));
+      }
       const double via_trace = std::sqrt(std::max(trace, 0.0));
       const double via_sigma =
           sigma * std::sqrt(static_cast<double>(l.rows()));

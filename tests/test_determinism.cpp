@@ -91,6 +91,42 @@ TEST(Determinism, FilteringSamplerIdenticalAcrossPoolSizes) {
     EXPECT_EQ(per_pool[0], per_pool[p]);
 }
 
+// perfbench's t41 shape (n = 96, sigma = 0.4, about 45 rounds): the
+// carried eigenpairs and every round's trial waves must give the same
+// items and the same counters at every pool size.
+TEST(Determinism, FilteringT41ShapeItemsAndCountersAcrossPoolSizes) {
+  const std::size_t n = 96;
+  RandomStream setup(96004);
+  std::vector<double> spectrum(n);
+  for (std::size_t i = 0; i < n; ++i)
+    spectrum[i] = 0.4 * (0.25 + 0.75 * static_cast<double>(i) /
+                                    static_cast<double>(n - 1));
+  const Matrix l = ensemble_from_kernel(kernel_with_spectrum(spectrum, setup));
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    std::vector<SampleResult> per_pool;
+    for (const std::size_t threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      RandomStream rng(seed);
+      per_pool.push_back(
+          sample_filtering_dpp(l, rng, ExecutionContext(&pool, nullptr)));
+    }
+    EXPECT_GT(per_pool[0].diag.rounds, 1u);
+    for (std::size_t p = 1; p < per_pool.size(); ++p) {
+      const SampleDiagnostics& want = per_pool[0].diag;
+      const SampleDiagnostics& got = per_pool[p].diag;
+      const std::string at = "seed " + std::to_string(seed) + " pool index " +
+                             std::to_string(p);
+      EXPECT_EQ(per_pool[p].items, per_pool[0].items) << at;
+      EXPECT_EQ(got.rounds, want.rounds) << at;
+      EXPECT_EQ(got.proposals, want.proposals) << at;
+      EXPECT_EQ(got.oracle_calls, want.oracle_calls) << at;
+      EXPECT_EQ(got.accepted_batches, want.accepted_batches) << at;
+      EXPECT_EQ(got.ratio_overflows, want.ratio_overflows) << at;
+      EXPECT_EQ(got.duplicate_rejects, want.duplicate_rejects) << at;
+    }
+  }
+}
+
 TEST(Determinism, EntropicSamplerIdenticalAcrossPoolSizes) {
   RandomStream setup(7003);
   const Matrix l = random_psd(12, 12, setup, 1e-3);

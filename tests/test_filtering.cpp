@@ -192,7 +192,7 @@ TEST(FilteringSampler, Proposition45SpectralInvariant) {
   const double alpha = 1.0 / (sigma0 * std::sqrt(8.0));
   for (int round = 0; round < 12; ++round) {
     const Matrix k = marginal_kernel(l);
-    const double sigma = spectral_norm_symmetric(k);
+    const double sigma = symmetric_eigenvalues(k).back();
     EXPECT_LE(sigma, sigma0 * (1.0 + 1e-9)) << "round " << round;
     // Thin + condition on an arbitrary feasible element (marginal > 0).
     Matrix scaled = l;

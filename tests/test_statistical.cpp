@@ -272,6 +272,28 @@ TEST(FeatureSessionStatTest, CommitPathMatchesEnumeration) {
 
 // ---- filtering sampler: unconstrained DPP over all subset sizes ----
 
+// Exact unconstrained DPP probabilities over all subsets:
+// P(S) = det(L_S) / det(I + L), with roundoff-negative minors read as 0.
+std::map<std::vector<int>, double> exact_unconstrained_dpp(const Matrix& l) {
+  const std::size_t n = l.rows();
+  std::map<std::vector<int>, double> exact;
+  double z = 0.0;
+  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+    std::vector<int> subset;
+    for (std::size_t i = 0; i < n; ++i)
+      if (mask & (1u << i)) subset.push_back(static_cast<int>(i));
+    double value = 1.0;
+    if (!subset.empty()) {
+      const auto sld = signed_log_det(l.principal(subset));
+      value = sld.sign > 0 ? std::exp(sld.log_abs) : 0.0;
+    }
+    exact[subset] = value;
+    z += value;
+  }
+  for (auto& [subset, p] : exact) p /= z;
+  return exact;
+}
+
 TEST(FilteringStatTest, WithinTotalVariationBudget) {
   const std::size_t n = 6;
   RandomStream setup(881002);
@@ -281,21 +303,7 @@ TEST(FilteringStatTest, WithinTotalVariationBudget) {
                                     static_cast<double>(n - 1));
   const Matrix kernel = kernel_with_spectrum(spectrum, setup);
   const Matrix l = ensemble_from_kernel(kernel);
-
-  // Exact unconstrained DPP probabilities: P(S) = det(L_S) / det(I + L).
-  std::map<std::vector<int>, double> exact;
-  double z = 0.0;
-  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-    std::vector<int> subset;
-    for (std::size_t i = 0; i < n; ++i)
-      if (mask & (1u << i)) subset.push_back(static_cast<int>(i));
-    const double value =
-        subset.empty() ? 1.0
-                       : std::exp(signed_log_det(l.principal(subset)).log_abs);
-    exact[subset] = value;
-    z += value;
-  }
-  for (auto& [subset, p] : exact) p /= z;
+  const auto exact = exact_unconstrained_dpp(l);
 
   FilteringOptions options;
   options.eps = 0.05;
@@ -315,6 +323,57 @@ TEST(FilteringStatTest, WithinTotalVariationBudget) {
   const double tv =
       testing::empirical_tv_map(exact, counts, samples.size());
   EXPECT_LT(tv, options.eps + 0.10);
+}
+
+// The filtering rounds carry the ensemble's eigenpairs (V, λ) and build
+// every trial's block from V_T. Two small spectra stress that path: one
+// spanning eight decades, and one with exact zero eigenvalues, whose
+// roundoff-negative λ hit the λ >= 0 clamp and whose V_T blocks are
+// singular beyond the rank.
+TEST(FilteringStatTest, CarriedEigenpairsMatchEnumeration) {
+  struct Case {
+    const char* name;
+    std::vector<double> spectrum;  // of the n = 7 marginal kernel K
+    std::uint64_t seed;
+  };
+  const Case cases[] = {
+      {"ill-conditioned", {0.8, 0.4, 1e-2, 1e-3, 1e-5, 1e-7, 1e-8}, 881011},
+      {"rank-deficient", {0.75, 0.5, 0.3, 0.0, 0.0, 0.0, 0.0}, 881012},
+  };
+  for (const Case& c : cases) {
+    RandomStream setup(c.seed);
+    const Matrix l =
+        ensemble_from_kernel(kernel_with_spectrum(c.spectrum, setup));
+    const auto exact = exact_unconstrained_dpp(l);
+
+    FilteringOptions options;
+    options.eps = 0.02;
+    {
+      // alpha = 1 / (sigma sqrt(n)) < 1: the multi-round loop runs.
+      RandomStream rng(c.seed);
+      EXPECT_GT(sample_filtering_dpp(l, rng, {}, options).diag.rounds, 1u)
+          << c.name;
+    }
+    const int trials = 8000;
+    std::size_t failures = 0;
+    const auto samples = collect_across_pools(
+        c.seed + 1, trials,
+        [&](RandomStream& rng, const ExecutionContext& ctx) {
+          return sample_filtering_dpp(l, rng, ctx, options).items;
+        },
+        &failures);
+    EXPECT_EQ(failures, 0u) << c.name;
+    std::map<std::vector<int>, std::size_t> counts;
+    for (const auto& s : samples) ++counts[s];
+    // Budget: eps plus an upper bound on the expected multinomial noise,
+    // sum over cells of sqrt(p (1 - p) / N) / 2, taken twice.
+    double noise = 0.0;
+    for (const auto& [subset, p] : exact)
+      noise += 0.5 * std::sqrt(p * (1.0 - p) / samples.size());
+    const double tv =
+        testing::empirical_tv_map(exact, counts, samples.size());
+    EXPECT_LT(tv, options.eps + 2.0 * noise) << c.name;
+  }
 }
 
 // ---- finite-domain rejection primitive ----
