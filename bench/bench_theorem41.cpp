@@ -131,8 +131,8 @@ int main() {
   print_header(
       "EXP-T41d", "ExecutionContext thread sweep (filtering sampler)",
       "one seed, pool sizes {1,2,4,hw}: identical samples at every pool "
-      "size; the Bernoulli/rejection machines of each filtering round "
-      "fan out, paying off on multicore hardware");
+      "size, no pool slower than pool 1; each round's Lemma 44 trials run "
+      "serially (a trial costs less than a fork-join)");
   const std::size_t n4 = 96;
   const double sigma4 = 0.4;
   RandomStream rng4(96004);

@@ -17,10 +17,9 @@ namespace pardpp {
 namespace {
 
 // Guard constants of the factor-native commit path (DESIGN.md §2
-// convention 9). A trip on any of them forces one spectral refresh —
-// correctness never depends on the fast path being well-conditioned.
-constexpr double kTraceCondGuard = 1e3;       // t_abs / t per trace
-constexpr double kNewtonProductGuard = 1e5;   // trace ratio x esp ratio
+// convention 9), beside the Newton guards of newton_depth (esp.h). A trip
+// on any of them forces one spectral refresh — correctness never depends
+// on the fast path being well-conditioned.
 constexpr double kMarginalItemGuard = 1e-4;   // numer / |term| floor
 constexpr double kMarginalSumTol = 1e-8;      // |sum p - k| / k
 constexpr double kCommitDriftGuard = 1e-8;    // eliminated-row residual
@@ -77,38 +76,13 @@ std::vector<double> marginals_from_spectrum(const SymmetricEigen& eig,
   return p;
 }
 
-// Validates a Newton ESP evaluation against its trace inputs: every
-// trace must be positive, finite, and within its |term| guard, every e_j
-// must pass the cancellation monitor, and the *product* of the worst
-// trace ratio and the worst esp ratio must stay under the combined guard
-// — trace drift is amplified by exactly the esp cancellation ratio, so
-// the product is what bounds the relative error (~eps * product).
-bool newton_trustworthy(std::span<const double> traces,
-                        std::span<const double> traces_abs,
-                        const NewtonEsp& ne, std::size_t jmax) {
-  double trace_ratio = 1.0;
-  for (std::size_t v = 1; v <= jmax; ++v) {
-    const double t = traces[v - 1];
-    const double ta = traces_abs[v - 1];
-    if (!std::isfinite(t) || !std::isfinite(ta) || t <= 0.0 ||
-        ta > kTraceCondGuard * t)
-      return false;
-    trace_ratio = std::max(trace_ratio, ta / t);
-  }
-  double esp_ratio = 1.0;
-  for (std::size_t j = 1; j <= jmax; ++j) {
-    if (!ne.well_conditioned(j, kEspCancelGuard)) return false;
-    esp_ratio = std::max(esp_ratio, ne.abs[j] / ne.e[j]);
-  }
-  return trace_ratio * esp_ratio <= kNewtonProductGuard;
-}
-
 // Seeds a PowerBasis (passed generically — the type is private to the
 // oracle) from a clamped spectrum: d_v[i] = sum_m lamhat_m^v V_im^2,
 // t_v = sum_m lamhat_m^v, with |term| companions equal to the values
 // (every contribution is nonnegative). This is both the base oracle's
 // basis construction and the drift reset of a commit-path spectral
-// refresh. `basis.scale` must be set by the caller.
+// refresh. `basis.scale` must be set by the caller. The basis' Newton
+// depth is measured here, once per seeded basis.
 template <typename Basis>
 void seed_basis_from_spectrum(const SymmetricEigen& eig,
                               std::span<const double> clamped,
@@ -133,6 +107,7 @@ void seed_basis_from_spectrum(const SymmetricEigen& eig,
   }
   basis.traces_abs = basis.traces;
   basis.diag_abs = basis.diag;
+  basis.depth = newton_depth(basis.traces, basis.traces_abs, jmax);
 }
 
 }  // namespace
@@ -253,22 +228,23 @@ class SymmetricKdppOracle::State final : public ConditionalState {
     if (tsize == k_) return log_det_t - log_z_;
     // Factor-side tail: downdate the shared power basis through the
     // already-built block factor and recover e_{k-t} by Newton's
-    // identities — no reduced matrix, no eigensolve. Gated by the cost
-    // heuristic (probe = |T|(k-|T|) matvecs vs one n^3 eigensolve) and
-    // the conditioning guards; any trip falls through to the spectral
-    // path, which also owns the exact rank-deficiency (-inf) semantics.
+    // identities — no reduced matrix, no eigensolve. Gated by the basis'
+    // own Newton depth (a downdate deeper than it is not observed to pass
+    // the guards, so that probe is not built), the cost heuristic (probe
+    // = |T|(k-|T|) matvecs vs one n^3 eigensolve) and the conditioning
+    // guards; any trip falls through to the spectral path, which also
+    // owns the exact rank-deficiency (-inf) semantics.
     const std::size_t vmax = k_ - tsize;
-    if (basis_ != nullptr && basis_->traces.size() >= vmax &&
-        tsize * vmax <= 2 * n) {
+    if (basis_ != nullptr && vmax <= basis_->depth && tsize * vmax <= 2 * n) {
       probe_.build(l_, basis_->scale, t, chol_, vmax);
       probe_.downdated_traces(basis_->traces, basis_->traces_abs, vmax,
                               traces_, traces_abs_);
-      const NewtonEsp ne = esp_from_power_traces(traces_, vmax);
       // The failpoint forces the cancellation guard's fallback branch —
       // the spectral path below, which is exact — so recovery tests can
       // exercise it on well-conditioned kernels.
-      if (newton_trustworthy(traces_, traces_abs_, ne, vmax) &&
+      if (newton_depth(traces_, traces_abs_, vmax) == vmax &&
           !failpoint("symmetric.query.guard")) {
+        const NewtonEsp ne = esp_from_power_traces(traces_, vmax);
         const double tail = std::log(ne.e[vmax]) +
                             static_cast<double>(vmax) * basis_->log_scale;
         return log_det_t + tail - log_z_;
@@ -548,19 +524,21 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
     return *log_marginals_;
   }
 
-  // Builds the moment probe over the accepted block's factor and runs the
-  // fast path's checks cheapest first: the eliminated rows' residual
-  // moments against the drift bound (zero in exact arithmetic, so their
-  // magnitude *is* the accumulated factorization drift), the Newton
-  // guards on the downdated traces, then the symmetric.commit.guard
-  // failpoint. Only when all pass does it stage the diagonal downdate of
-  // the kept rows (keep_, already in the conditional's order) and return
-  // the Newton ESPs; nullopt means the caller refactorizes spectrally.
+  // Runs the fast path's checks cheapest first: the current basis' Newton
+  // depth against k_next (a downdate deeper than the basis passes its
+  // guards is not built), then — over the moment probe of the accepted
+  // block's factor — the eliminated rows' residual moments against the
+  // drift bound (zero in exact arithmetic, so their magnitude *is* the
+  // accumulated factorization drift), the Newton guards on the downdated
+  // traces, and the symmetric.commit.guard failpoint. Only when all pass
+  // does it stage the diagonal downdate of the kept rows (keep_, already
+  // in the conditional's order) and return the Newton ESPs; nullopt means
+  // the caller refactorizes spectrally.
   std::optional<NewtonEsp> stage_downdate(const Matrix& src,
                                           std::span<const int> batch,
                                           std::size_t k_next) {
     const PowerBasis& pb = rounds_ == 0 ? base_->power_basis() : basis_;
-    if (pb.traces.size() < k_next) return std::nullopt;
+    if (k_next > pb.depth) return std::nullopt;
     probe_.build(src, pb.scale, batch, elim_chol_, k_next);
     probe_.downdated_traces(pb.traces, pb.traces_abs, k_next, staged_traces_,
                             staged_traces_abs_);
@@ -572,21 +550,23 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
             kCommitDriftGuard * staged_diag_abs_[j]))
         return std::nullopt;
     }
-    NewtonEsp ne = esp_from_power_traces(staged_traces_, k_next);
     // The failpoint demotes the round to a spectral refresh — the same
     // exact fallback a genuine cancellation-guard trip pays.
-    if (!newton_trustworthy(staged_traces_, staged_traces_abs_, ne, k_next) ||
+    if (newton_depth(staged_traces_, staged_traces_abs_, k_next) < k_next ||
         failpoint("symmetric.commit.guard"))
       return std::nullopt;
     probe_.downdated_diag(keep_, pb.diag, pb.diag_abs, k_next, staged_diag_,
                           staged_diag_abs_);
-    return ne;
+    return esp_from_power_traces(staged_traces_, k_next);
   }
 
   // Adopts the staged basis for the new conditional. The scale is fixed
   // per run — the base basis and reset() derive it from the same
-  // diagonal — so it carries over unchanged.
+  // diagonal — so it carries over unchanged. The staged traces passed
+  // the Newton guards at their full length, which is therefore their
+  // depth.
   void adopt_staged_basis() {
+    basis_.depth = staged_traces_.size();
     basis_.traces.swap(staged_traces_);
     basis_.traces_abs.swap(staged_traces_abs_);
     basis_.diag.swap(staged_diag_);
@@ -686,6 +666,7 @@ class SymmetricKdppOracle::Committed final : public CommittedOracle {
     basis_.traces_abs.clear();
     basis_.diag.clear();
     basis_.diag_abs.clear();
+    basis_.depth = 0;
     marginals_ = std::vector<double>(m_.rows(), 0.0);
     log_marginals_ = log_probabilities(*marginals_);
   }

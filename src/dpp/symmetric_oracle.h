@@ -91,9 +91,13 @@ class SymmetricKdppOracle final : public CountingOracle {
   /// accumulation bounding the roundoff/drift the stored value may carry
   /// (DESIGN.md §2 convention 9). The fixed per-run scale keeps e_j
   /// inside double range; log-domain results are shifted by j*log_scale.
+  /// `depth` is the traces' own newton_depth (esp.h), measured once per
+  /// basis: a query or commit needing e_j with j > depth skips the
+  /// factor-side probe and takes the spectral path.
   struct PowerBasis {
     double scale = 1.0;
     double log_scale = 0.0;
+    std::size_t depth = 0;
     std::vector<double> traces;      ///< t_v, v = 1..jmax
     std::vector<double> traces_abs;  ///< |term| companions of t_v
     std::vector<double> diag;        ///< d_v[i] at [(v-1)*n + i]

@@ -85,6 +85,27 @@ NewtonEsp esp_from_power_traces(std::span<const double> power_traces,
   return out;
 }
 
+std::size_t newton_depth(std::span<const double> traces,
+                         std::span<const double> traces_abs,
+                         std::size_t jmax) {
+  check_arg(traces_abs.size() >= jmax,
+            "newton_depth: need |term| companions up to jmax");
+  const NewtonEsp ne = esp_from_power_traces(traces, jmax);
+  double trace_ratio = 1.0;
+  double esp_ratio = 1.0;
+  for (std::size_t j = 1; j <= jmax; ++j) {
+    const double t = traces[j - 1];
+    const double ta = traces_abs[j - 1];
+    if (!std::isfinite(t) || !std::isfinite(ta) || t <= 0.0 ||
+        ta > kTraceCondGuard * t || !ne.well_conditioned(j, kEspCancelGuard))
+      return j - 1;
+    trace_ratio = std::max(trace_ratio, ta / t);
+    esp_ratio = std::max(esp_ratio, ne.abs[j] / ne.e[j]);
+    if (trace_ratio * esp_ratio > kNewtonProductGuard) return j - 1;
+  }
+  return jmax;
+}
+
 double LogEspTable::log_e(std::size_t j) const {
   check_arg(j <= jmax_, "LogEspTable: j out of range");
   return prefix_[n_][j];

@@ -104,6 +104,27 @@ inline constexpr double kEspCancelGuard = 1e3;
 [[nodiscard]] NewtonEsp esp_from_power_traces(
     std::span<const double> power_traces, std::size_t jmax);
 
+/// Per-trace drift guard: a trace is trusted while its |term| companion
+/// stays within this factor of the value.
+inline constexpr double kTraceCondGuard = 1e3;
+/// Combined guard on (worst trace ratio) x (worst esp ratio): trace drift
+/// is amplified by exactly the esp cancellation ratio, so the product is
+/// what bounds the relative error of e_j (~eps * product).
+inline constexpr double kNewtonProductGuard = 1e5;
+
+/// Newton depth of a power-trace basis: the largest j <= jmax such that
+/// esp_from_power_traces(traces, j) is trustworthy — every trace t_v,
+/// v <= j, positive, finite and within kTraceCondGuard of its |term|
+/// companion `traces_abs[v-1]`; every e_v, v <= j, well_conditioned under
+/// kEspCancelGuard; and the product of the worst trace ratio and the
+/// worst esp ratio within kNewtonProductGuard. Every condition is a
+/// prefix condition, so a Newton evaluation to depth j passes exactly
+/// when j <= newton_depth(traces, traces_abs, j') for any j' >= j.
+/// O(jmax^2).
+[[nodiscard]] std::size_t newton_depth(std::span<const double> traces,
+                                       std::span<const double> traces_abs,
+                                       std::size_t jmax);
+
 /// Eigenmode selection weights of a k-DPP with spectrum `lambda`:
 /// w_m = lambda_m e_{k-1}(lambda \ m) / e_k(lambda), written into `w`
 /// (resized to lambda.size()). The w_m are the probabilities that

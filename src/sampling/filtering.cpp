@@ -35,7 +35,10 @@ struct BernoulliTrial {
 // returns the ensemble block L_T of L = K (I - K)^{-1}. It proposes T from
 // independent Bernoulli(p_i) and accepts with probability
 // det(L_T) det(I - K) / (C * proposal mass), one wave of machines at a
-// time.
+// time. The waves run serially on the calling thread: a trial costs
+// microseconds, less than one fork-join of the pool, so fanning a wave
+// out only adds dispatch. The logical round (`machines` machines) is
+// still charged to `ctx`.
 template <typename Block>
 SampleResult bernoulli_rejection(std::span<const double> p,
                                  double log_det_i_minus_k, Block&& block,
@@ -70,7 +73,7 @@ SampleResult bernoulli_rejection(std::span<const double> p,
       std::min(machines_needed, static_cast<double>(options.machine_cap)));
 
   const bool found = run_trial_waves<BernoulliTrial>(
-      ctx, machines, rng,
+      ExecutionContext::serial(), machines, rng,
       // Evaluate: one full proposal per machine — Bernoulli draws,
       // det(L_T) query, and accept draw, all on the machine's stream.
       [&](BernoulliTrial& trial, RandomStream stream) {

@@ -37,9 +37,10 @@ struct FilteringOptions {
 };
 
 /// Samples (approximately, within eps TV) from the unconstrained
-/// symmetric DPP with ensemble matrix `l` via Algorithm 4, executing each
-/// round's Bernoulli/rejection machines on the context's pool. A fixed
-/// seed yields the identical sample at every pool size. The ensemble's
+/// symmetric DPP with ensemble matrix `l` via Algorithm 4. Each round's
+/// Bernoulli/rejection machines run serially, one trial costing less
+/// than a fork-join, and are charged to `ctx` as one logical round. A
+/// fixed seed yields the identical sample at every pool size. The ensemble's
 /// eigenpairs are carried across rounds and recomputed only after a round
 /// that picked something (DESIGN.md §2 convention 10).
 [[nodiscard]] SampleResult sample_filtering_dpp(

@@ -18,7 +18,9 @@
 #include "dpp/feature_oracle.h"
 #include "dpp/symmetric_oracle.h"
 #include "linalg/factory.h"
+#include "linalg/esp.h"
 #include "linalg/lu.h"
+#include "linalg/symmetric_eigen.h"
 #include "parallel/execution.h"
 #include "parallel/thread_pool.h"
 #include "sampling/batched.h"
@@ -268,6 +270,94 @@ TEST(FeatureSessionStatTest, CommitPathMatchesEnumeration) {
   const auto chi = chi_square_subsets(dist, per_pool[0]);
   EXPECT_LT(chi.statistic, chi_square_quantile(chi.dof, 4.0));
   EXPECT_LT(testing::empirical_tv(dist, per_pool[0]), 0.08);
+}
+
+// ---- the symmetric oracle's Newton-depth gate, where it binds ----
+
+// An ill-conditioned ensemble whose power-trace basis passes the Newton
+// guards only to a depth below k - 1: every commit and most queries skip
+// the factor-side probe and take the spectral path. The law must not
+// notice, through sample_batched and through the session commit path.
+TEST(NewtonDepthGateStatTest, IllConditionedEnsembleMatchesEnumeration) {
+  constexpr std::size_t n = 9;
+  constexpr std::size_t k = 6;
+  std::vector<double> spectrum(n);
+  double decay = 1.0;
+  for (double& x : spectrum) x = (decay *= 0.25);
+  RandomStream setup(881021);
+  const Matrix l = kernel_with_spectrum(spectrum, setup);
+
+  // The base basis as the oracle seeds it: traces of the clamped spectrum
+  // scaled by the largest diagonal entry.
+  double scale = 0.0;
+  for (std::size_t i = 0; i < n; ++i) scale = std::max(scale, l(i, i));
+  std::vector<double> lambda = symmetric_eigenvalues(l);
+  clamp_spectrum_to_rank(lambda);
+  std::vector<double> traces(k, 0.0);
+  for (const double lam : lambda) {
+    double p = 1.0;
+    for (std::size_t v = 1; v <= k; ++v) {
+      p *= std::max(lam, 0.0) / scale;
+      traces[v - 1] += p;
+    }
+  }
+  ASSERT_LT(newton_depth(traces, traces, k), k - 1);
+
+  const SymmetricKdppOracle oracle(l, k);
+  const auto dist = testing::exact_distribution(
+      static_cast<int>(n), static_cast<int>(k), [&](std::span<const int> s) {
+        const auto sld = signed_log_det(l.principal(s));
+        return sld.sign > 0 ? sld.log_abs : kNegInf;
+      });
+  constexpr int kTrials = 4000;
+  // 84 outcome cells: the TV budget is twice the expected multinomial
+  // noise bound, sum over cells of sqrt(p (1 - p) / N) / 2.
+  double noise = 0.0;
+  for (const double p : dist.probs)
+    noise += 0.5 * std::sqrt(p * (1.0 - p) / kTrials);
+  const auto expect_matches = [&](const std::vector<std::vector<int>>& got,
+                                  const char* path) {
+    const auto chi = chi_square_subsets(dist, got);
+    EXPECT_LT(chi.statistic, chi_square_quantile(chi.dof, 4.0))
+        << path << ": chi-square dof " << chi.dof;
+    EXPECT_LT(testing::empirical_tv(dist, got), 2.0 * noise) << path;
+  };
+
+  BatchedOptions options;
+  options.failure_prob = 1e-6;
+  std::size_t failures = 0;
+  const auto batched = collect_across_pools(
+      92301, kTrials,
+      [&](RandomStream& rng, const ExecutionContext& ctx) {
+        auto result = sample_batched(oracle, rng, ctx, options);
+        EXPECT_EQ(result.diag.ratio_overflows, 0u);
+        return std::move(result.items);
+      },
+      &failures);
+  EXPECT_EQ(failures, 0u);
+  expect_matches(batched, "sample_batched");
+
+  SessionOptions session_options;
+  session_options.kind = SamplerKind::kBatched;
+  session_options.batched.failure_prob = 1e-6;
+  SamplerSession session(oracle, session_options);
+  std::vector<std::vector<std::vector<int>>> per_pool;
+  for (const std::size_t threads : stat_pool_sizes()) {
+    ThreadPool pool(threads);
+    const ExecutionContext ctx(&pool, nullptr);
+    RandomStream rng(92302);
+    auto results =
+        session.draw_many(static_cast<std::size_t>(kTrials), rng, ctx);
+    std::vector<std::vector<int>> samples;
+    for (auto& r : results) {
+      EXPECT_EQ(r.diag.ratio_overflows, 0u);
+      samples.push_back(std::move(r.items));
+    }
+    per_pool.push_back(std::move(samples));
+  }
+  for (std::size_t p = 1; p < per_pool.size(); ++p)
+    EXPECT_EQ(per_pool[0], per_pool[p]) << "pool size index " << p;
+  expect_matches(per_pool[0], "session commit path");
 }
 
 // ---- filtering sampler: unconstrained DPP over all subset sizes ----
